@@ -50,6 +50,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.isa.decoder import decoder_library
+from repro.pacing import Pacer
 from repro.simulator.simulator import SnipeSim, simulate_batch
 
 #: Per-executor trace snapshots inherited by forked workers.
@@ -358,10 +359,11 @@ class FabricExecutor:
             )
         self.store = store
         self.poll_interval = float(poll)
-        #: Ceiling for the adaptive poll backoff: consecutive empty
-        #: polls double the sleep from ``poll_interval`` up to here, so
-        #: an idle driver stops hammering the queue/server; any
-        #: delivered result resets the pace to ``poll_interval``.
+        #: Ceiling for the adaptive poll pacing: consecutive empty
+        #: polls stretch the sleep from ``poll_interval`` up to here
+        #: (:class:`~repro.pacing.Pacer`), so an idle driver stops
+        #: hammering the queue/server; any delivered result resets the
+        #: pace to ``poll_interval``.
         self.poll_cap = max(self.poll_interval, 1.0)
         self.timeout = timeout
         #: Keys enqueued by this executor and not yet observed done —
@@ -375,15 +377,14 @@ class FabricExecutor:
         handle = self.submit(groups, decoder, registry_items)
         results: dict = {}
         expected = sum(len(configs) for configs, _tkey, _trace in groups)
-        pace = self.poll_interval
+        pacer = Pacer(self.poll_interval, self.poll_cap)
         while len(results) < expected:
             got = self.poll(handle)
             if got:
                 results.update(got)
-                pace = self.poll_interval
+                pacer.reset()
                 continue
-            time.sleep(pace)
-            pace = min(pace * 2, self.poll_cap)
+            time.sleep(pacer.nap())
 
         # Reassemble per-group stats in the engine's submission order.
         return [[results[(gi, ci)] for ci in range(len(configs))]

@@ -44,6 +44,7 @@ import uuid
 from dataclasses import dataclass
 
 from repro.fabric.api import TaskQueue
+from repro.pacing import Pacer
 from repro.store.backend import BUSY_TIMEOUT, connect_sqlite, retry_busy
 
 #: Bump when the fabric tables' layout changes incompatibly.
@@ -58,6 +59,11 @@ DEFAULT_LEASE = 30.0
 
 #: Default claim budget per task before it is dead-lettered.
 DEFAULT_MAX_ATTEMPTS = 3
+
+#: ``claim(wait=)`` naps between ``data_version`` checks, seconds:
+#: the check is a shared-memory read, so the first naps are short.
+CLAIM_NAP_FLOOR = 0.001
+CLAIM_NAP_CAP = 0.05
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,12 @@ class JobQueue(TaskQueue):
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
         self._lock = threading.Lock()
-        # Wakes same-process long-poll claimers the moment work appears
-        # (cross-process enqueuers can't signal us, so `claim(wait=)`
-        # still polls on a short bound as well).
+        # Wakes same-process long-poll claimers the moment work appears;
+        # `_wakes` counts notifications so a wake landing between a
+        # claim attempt and the nap is not lost. (Cross-process writers
+        # can't signal us: `claim(wait=)` watches `data_version` for them.)
         self._wakeup = threading.Condition()
+        self._wakes = 0
         self._conn = connect_sqlite(self.path, busy_timeout=busy_timeout)
         self._init_schema()
 
@@ -280,29 +288,59 @@ class JobQueue(TaskQueue):
         crash-recovery path). A candidate whose claim budget is spent is
         dead-lettered here instead of being handed out again.
 
-        ``wait`` bounds a block on an empty queue: same-process
-        enqueues wake the claimer immediately via a condition variable;
-        cross-process writers are caught by a short poll bound, so the
-        worst-case latency from an external enqueue is ~50 ms instead
-        of a caller-visible polling loop.
+        ``wait`` bounds a block on an empty queue, and the block takes
+        no write lock: between naps (paced by
+        :class:`~repro.pacing.Pacer` from 1 ms up to 50 ms) the claimer
+        reads ``PRAGMA data_version`` and reruns its claim transaction
+        only once another connection has committed, or a lease it saw
+        has expired. Commits on this queue's own connection do not move
+        ``data_version``, so same-process writers (``repro serve``)
+        wake the claimer through a condition variable instead. Work
+        from another process is picked up at most ``max(1 ms, half the
+        time already waited)`` late, and never more than 50 ms late.
         """
         lease = self.lease_seconds if lease_seconds is None else float(lease_seconds)
         deadline = None if not wait else time.monotonic() + float(wait)
+        pacer = Pacer(CLAIM_NAP_FLOOR, CLAIM_NAP_CAP)
         while True:
-            while True:
-                with self._lock:
-                    row = retry_busy(lambda: self._claim_one(worker_id, lease, now))
-                if row is None:
-                    break
-                if row != "dead-lettered":
-                    return row
+            with self._wakeup:
+                wakes = self._wakes
+            with self._lock:
+                version = self._data_version()
+                tasks = retry_busy(
+                    lambda: self._claim_batch(worker_id, 1, lease, now))
+                if tasks:
+                    return tasks[0]
+                expires = self._next_expiry()
             if deadline is None:
                 return None
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            with self._wakeup:
-                self._wakeup.wait(min(0.05, remaining))
+            # Idle until a same-process writer notifies, a peer commits
+            # or a seen lease lapses; only then claim again.
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                with self._wakeup:
+                    if self._wakes == wakes:
+                        self._wakeup.wait(min(pacer.nap(), remaining))
+                    if self._wakes != wakes:
+                        break
+                if expires is not None and (
+                        time.time() if now is None else now) >= expires:
+                    break
+                with self._lock:
+                    if self._data_version() != version:
+                        break
+
+    def _data_version(self) -> int:
+        """SQLite's counter of commits by *other* connections."""
+        return self._conn.execute("PRAGMA data_version").fetchone()[0]
+
+    def _next_expiry(self):
+        """Earliest live lease expiry (epoch seconds), ``None`` if none."""
+        return retry_busy(lambda: self._conn.execute(
+            "SELECT MIN(lease_expires) FROM fabric_tasks WHERE state='leased'"
+        ).fetchone()[0])
 
     def claim_many(self, worker_id: str, n: int,
                    lease_seconds: float = None) -> list:
@@ -319,8 +357,9 @@ class JobQueue(TaskQueue):
         with self._lock:
             return retry_busy(lambda: self._claim_batch(worker_id, int(n), lease))
 
-    def _claim_batch(self, worker_id: str, n: int, lease: float) -> list:
-        t = time.time()
+    def _claim_batch(self, worker_id: str, n: int, lease: float,
+                     now: float = None) -> list:
+        t = time.time() if now is None else now
         tasks: list = []
         self._conn.execute("BEGIN IMMEDIATE")
         try:
@@ -336,6 +375,8 @@ class JobQueue(TaskQueue):
                     break
                 key, kind, payload, attempts, max_attempts = row
                 if attempts >= max_attempts:
+                    # Claim budget exhausted (every prior lease died
+                    # without completing): dead-letter, don't re-lease.
                     self._conn.execute(
                         "UPDATE fabric_tasks SET state='dead', worker=NULL,"
                         " lease_expires=NULL, updated=?,"
@@ -358,44 +399,6 @@ class JobQueue(TaskQueue):
             self._conn.execute("ROLLBACK")
             raise
         return tasks
-
-    def _claim_one(self, worker_id: str, lease: float, now: float):
-        t = time.time() if now is None else now
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = self._conn.execute(
-                "SELECT key, kind, payload, attempts, max_attempts"
-                " FROM fabric_tasks"
-                " WHERE state = 'queued'"
-                "    OR (state = 'leased' AND lease_expires <= ?)"
-                " ORDER BY created, key LIMIT 1", (t,)
-            ).fetchone()
-            if row is None:
-                self._conn.execute("COMMIT")
-                return None
-            key, kind, payload, attempts, max_attempts = row
-            if attempts >= max_attempts:
-                # Claim budget exhausted (every prior lease died without
-                # completing): dead-letter instead of leasing again.
-                self._conn.execute(
-                    "UPDATE fabric_tasks SET state='dead', worker=NULL,"
-                    " lease_expires=NULL, updated=?,"
-                    " error=COALESCE(error, 'lease expired; claim budget exhausted')"
-                    " WHERE key=?", (t, key)
-                )
-                self._conn.execute("COMMIT")
-                return "dead-lettered"
-            self._conn.execute(
-                "UPDATE fabric_tasks SET state='leased', worker=?,"
-                " lease_expires=?, attempts=?, updated=? WHERE key=?",
-                (worker_id, t + lease, attempts + 1, t, key),
-            )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
-        return Task(key=key, kind=kind, payload=json.loads(payload),
-                    attempts=attempts + 1, max_attempts=max_attempts)
 
     def heartbeat(self, key: str, worker_id: str, lease_seconds: float = None) -> bool:
         """Extend a held lease; ``False`` when the lease was lost."""
@@ -522,6 +525,7 @@ class JobQueue(TaskQueue):
     def _notify(self) -> None:
         """Wake same-process ``claim(wait=)`` blockers: work appeared."""
         with self._wakeup:
+            self._wakes += 1
             self._wakeup.notify_all()
 
     # ------------------------------------------------------------------

@@ -57,6 +57,7 @@ from dataclasses import asdict, dataclass, field
 from repro.engine import EvaluationEngine
 from repro.fabric.queue import DEFAULT_LEASE, JobQueue
 from repro.fabric.tasks import KIND_SIMULATE, KIND_SLEEP, rebuild_config, resolve_decoder
+from repro.pacing import Pacer
 from repro.store import open_store
 from repro.store.resultstore import ResultStore
 
@@ -528,12 +529,16 @@ class FabricWorker:
         then completion acks flush in batches (size- or age-triggered,
         :data:`FLUSH_BATCH`/:data:`FLUSH_AGE`) so N fast tasks cost one
         result write plus one ``complete_many`` instead of 2N round
-        trips. Prefetch misses back off exponentially (0.05 s →
-        ``poll``) so an empty queue is not hammered while a long task
-        executes.
+        trips. Once the queue runs dry (nothing prefetched, the last
+        claim came back short) there is nothing left to batch with, so
+        completions flush at once: the last results of a race step
+        never wait out :data:`FLUSH_AGE`. Idle naps are paced by
+        :class:`~repro.pacing.Pacer` (0.05 s up to ``poll``) so an
+        empty queue is not hammered while a long task executes.
         """
-        miss_pace = 0.05
+        pacer = Pacer(0.05, self.poll)
         oldest = None  # when the current outbox went nonempty
+        dry = False  # the last prefetch claim came back short
         try:
             while True:
                 with self._io_cv:
@@ -552,6 +557,8 @@ class FabricWorker:
                             and len(self._pending) <= self.PREFETCH_DEPTH // 2
                             and budget > 0)
                     size = len(self._outbox)
+                    granted = self._want_prefetch
+                    drained = dry and not self._pending
                 if size and oldest is None:
                     oldest = time.monotonic()
                 if want:
@@ -562,9 +569,11 @@ class FabricWorker:
                         tasks = self.queue.claim_many(self.worker_id, budget)
                         rows = None
                     self._prefetch_many(tasks, rows)
+                    dry = len(tasks) < budget
                     with self._io_cv:
                         self._pending.extend(tasks)
-                        if len(tasks) < budget:
+                        drained = dry and not self._pending
+                        if dry:
                             # Queue ran dry: drop the permission so the
                             # main thread stops waiting on us and runs
                             # its own long-poll claim instead of
@@ -572,9 +581,9 @@ class FabricWorker:
                             self._want_prefetch = False
                         self._io_cv.notify_all()
                     if tasks:
-                        miss_pace = 0.05
+                        pacer.reset()
                         continue
-                if size and (stop or size >= self.FLUSH_BATCH
+                if size and (stop or drained or size >= self.FLUSH_BATCH
                              or time.monotonic() - oldest >= self.FLUSH_AGE):
                     with self._io_cv:
                         batch = list(self._outbox)
@@ -603,12 +612,14 @@ class FabricWorker:
                 with self._io_cv:
                     if self._stop.is_set() and not self._outbox:
                         return
+                    if (len(self._outbox) != size
+                            or (self._want_prefetch and not granted)):
+                        continue  # woken while busy above: don't sleep
+                    nap = pacer.nap()
                     if self._outbox and oldest is not None:
                         due = self.FLUSH_AGE - (time.monotonic() - oldest)
-                        self._io_cv.wait(max(0.001, min(miss_pace, due)))
-                    else:
-                        self._io_cv.wait(miss_pace)
-                miss_pace = min(miss_pace * 2, max(self.poll, 0.05))
+                        nap = max(0.001, min(nap, due))
+                    self._io_cv.wait(nap)
         except BaseException as exc:  # noqa: BLE001 — surfaced to run()
             self._dispatch_error = exc
             self._stop.set()

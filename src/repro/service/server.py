@@ -328,9 +328,9 @@ class ExperimentService:
 
         The long-poll path rides the queue's own condition variable:
         every enqueue/requeue/release through this service wakes parked
-        claimers immediately, and a short poll bound inside
-        ``JobQueue.claim`` covers writers that bypass the service and
-        touch the SQLite file directly.
+        claimers immediately, and ``JobQueue.claim`` watches SQLite's
+        ``data_version`` for writers that bypass the service and touch
+        the SQLite file directly.
         """
         worker = payload["worker"]
         lease = payload.get("lease_seconds")

@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from repro.pacing import Pacer
+
 
 @dataclass
 class RaceResult:
@@ -383,19 +385,21 @@ class AsyncRaceScheduler:
     def _await_frontier(self, results: dict, start: float) -> None:
         """Poll until every alive candidate's frontier result is in.
 
-        Empty polls back off exponentially from ``poll_interval`` up to
-        a 1 s cap (any result resets the pace), so a scheduler stalled
-        on slow workers stops hammering the executor's queue/server.
+        Empty polls are paced by :class:`~repro.pacing.Pacer` from
+        ``poll_interval`` up to a 1 s cap (any result resets the pace),
+        so a scheduler stalled on slow workers stops hammering the
+        executor's queue/server, while a result is noticed at most half
+        the time already waited late.
         """
         state = self.state
         frontier = [(i, state.step) for i in state.alive]
-        pace = self.poll_interval
+        pacer = Pacer(self.poll_interval, 1.0)
         while not all(t in results for t in frontier):
             got = self.source.poll()
             if got:
                 for token, cost in got:
                     results[token] = cost
-                pace = self.poll_interval
+                pacer.reset()
                 continue
             if (self.timeout is not None
                     and time.monotonic() - start > self.timeout):
@@ -403,8 +407,7 @@ class AsyncRaceScheduler:
                 raise TimeoutError(
                     f"race step {state.step} timed out after {self.timeout}s "
                     f"({len(missing)} frontier result(s) outstanding)")
-            time.sleep(pace)
-            pace = min(pace * 2, max(self.poll_interval, 1.0))
+            time.sleep(pacer.nap())
 
     def _cancel_stale(self, requested: set, cancelled: set,
                       results: dict) -> None:

@@ -388,6 +388,15 @@ class TestLongPoll:
         finally:
             peer.close()
 
+    def test_wait_wakes_when_a_lease_expires(self, queue):
+        # No commit marks the moment a lease lapses: the waiter must
+        # watch the expiry it saw, or sleep out its whole wait.
+        queue.enqueue(_tasks(1))
+        task = queue.claim("w1", lease_seconds=0.3)
+        again = queue.claim("w2", wait=30.0)
+        assert again is not None and again.key == task.key
+        assert again.attempts == 2
+
 
 class TestIntrospection:
     def test_states_and_counts(self, queue):
@@ -472,3 +481,115 @@ class TestSchema:
             assert q.depth() == 1
         assert store.stats()["sim_results"] == 0
         store.close()
+
+
+class TestCommitDrivenWakeups:
+    """SQLite ``claim(wait=)`` takes the write lock only when it may win.
+
+    An idle waiter reads ``PRAGMA data_version`` between naps and reruns
+    its ``BEGIN IMMEDIATE`` claim transaction only after another
+    connection commits. Commits on the queue's own connection (the
+    ``repro serve`` case) do not move ``data_version``, so those wake it
+    through the in-process notification instead. Every wait below is on
+    an event; the join timeouts only bound a failing run.
+    """
+
+    def _instrument(self, queue, monkeypatch, idle_checks=5):
+        """Count claim transactions; signal once the waiter sits idle."""
+        import threading
+
+        attempts = []
+        idle = threading.Event()
+        checks = []
+        claim_batch, data_version = queue._claim_batch, queue._data_version
+
+        def counting_claim_batch(*args, **kwargs):
+            attempts.append(args)
+            return claim_batch(*args, **kwargs)
+
+        def counting_data_version():
+            checks.append(None)
+            if len(checks) >= idle_checks:
+                idle.set()
+            return data_version()
+
+        monkeypatch.setattr(queue, "_claim_batch", counting_claim_batch)
+        monkeypatch.setattr(queue, "_data_version", counting_data_version)
+        return attempts, idle
+
+    def _claim_in_thread(self, queue):
+        import threading
+
+        out = {}
+        thread = threading.Thread(
+            target=lambda: out.update(task=queue.claim("w1", wait=60.0)),
+            daemon=True)
+        thread.start()
+        return thread, out
+
+    def test_idle_wait_claims_again_only_after_a_peer_commit(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "q.sqlite"
+        queue, peer = JobQueue(path), JobQueue(path)
+        try:
+            attempts, idle = self._instrument(queue, monkeypatch)
+            thread, out = self._claim_in_thread(queue)
+            assert idle.wait(30), "the waiter never went idle"
+            assert len(attempts) == 1  # idle checks took no write lock
+            peer.enqueue(_tasks(1))
+            thread.join(30)
+            assert not thread.is_alive(), "a peer commit did not wake the waiter"
+            assert out["task"] is not None and out["task"].key == "task-000"
+            assert len(attempts) <= 2
+        finally:
+            queue.close()
+            peer.close()
+
+    def test_same_connection_enqueue_wakes_the_waiter(
+            self, tmp_path, monkeypatch):
+        queue = JobQueue(tmp_path / "q.sqlite")
+        try:
+            attempts, idle = self._instrument(queue, monkeypatch)
+            thread, out = self._claim_in_thread(queue)
+            assert idle.wait(30), "the waiter never went idle"
+            with queue._lock:
+                before = queue._conn.execute("PRAGMA data_version").fetchone()
+            queue.enqueue(_tasks(1))
+            with queue._lock:
+                after = queue._conn.execute("PRAGMA data_version").fetchone()
+            # Invisible to data_version: only the notification wakes it.
+            assert before == after
+            thread.join(30)
+            assert not thread.is_alive(), "the in-process wake was lost"
+            assert out["task"] is not None and out["task"].key == "task-000"
+            assert len(attempts) <= 2
+        finally:
+            queue.close()
+
+    def test_concurrent_waiters_lose_no_wakeup(self, tmp_path):
+        """More waiters than cores, one connection, a tiny switch
+        interval: each same-connection enqueue wakes a waiter, and each
+        waiter gets exactly one task."""
+        import sys
+        import threading
+
+        queue = JobQueue(tmp_path / "q.sqlite")
+        n = 8
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(
+                target=lambda w=f"w{i}": got.append(queue.claim(w, wait=60.0)),
+                daemon=True) for i in range(n)]
+            for thread in threads:
+                thread.start()
+            for task in _tasks(n):
+                queue.enqueue([task])
+            for thread in threads:
+                thread.join(30)
+            assert not any(t.is_alive() for t in threads), "a wakeup was lost"
+        finally:
+            sys.setswitchinterval(interval)
+            queue.close()
+        assert sorted(task.key for task in got) == [k for k, _, _ in _tasks(n)]

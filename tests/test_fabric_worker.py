@@ -1,6 +1,7 @@
 """Fabric worker + executor: distributed runs equal serial runs."""
 
 import threading
+import time
 
 import pytest
 
@@ -149,6 +150,62 @@ class TestWorkerExecution:
         assert stats.claimed == 1
         with JobQueue(store_path) as queue:
             assert queue.depth() == 1
+
+
+def wait_for(predicate, timeout=30.0, interval=0.01):
+    """Poll ``predicate`` until true; ``False`` if ``timeout`` passes."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return False
+
+
+class TestCompletionFlush:
+    """Completions batch while work is in hand and flush when it runs out.
+
+    ``FLUSH_AGE`` is pushed far past the test's wait, so only the
+    dry-queue rule can deliver the last completion in time.
+    """
+
+    def test_last_task_of_a_drained_queue_reaches_done(
+            self, store_path, monkeypatch):
+        monkeypatch.setattr(FabricWorker, "FLUSH_AGE", 60.0)
+        queue = JobQueue(store_path)
+        queue.enqueue([("only", "sleep", {"seconds": 0.0})])
+        worker, thread = run_worker_in_background(store_path)
+        try:
+            assert wait_for(lambda: queue.states(["only"]) == {"only": "done"}), \
+                f"the completion sat in the outbox: {queue.counts()}"
+        finally:
+            worker.stop()
+            thread.join(timeout=10)
+            queue.close()
+
+    def test_queued_work_still_batches_completions(
+            self, store_path, monkeypatch):
+        monkeypatch.setattr(FabricWorker, "FLUSH_AGE", 60.0)
+        batches = []
+        complete_many = JobQueue.complete_many
+
+        def spy(self, completions):
+            completions = list(completions)
+            batches.append(len(completions))
+            return complete_many(self, completions)
+
+        monkeypatch.setattr(JobQueue, "complete_many", spy)
+        queue = JobQueue(store_path)
+        n = 16
+        queue.enqueue([(f"t{i:02d}", "sleep", {"seconds": 0.0})
+                       for i in range(n)])
+        stats = FabricWorker(store_path, lease=10.0, poll=0.02,
+                             drain=True).run()
+        assert stats.completed == n and sum(batches) == n
+        # The first flush happens with tasks still queued or prefetched,
+        # so it is a batch, not a lone key.
+        assert batches[0] > 1, batches
+        queue.close()
 
 
 class TestFabricExecutor:

@@ -438,7 +438,7 @@ class TestAdaptivePollBackoff:
         # requests; the doubling backoff needs ~40.
         assert ex.polls < 50
         assert max(ex.sleeps) == ex.poll_cap  # reached the ceiling
-        # Strictly doubling until the cap.
+        # Non-decreasing until the cap.
         ramp = ex.sleeps[:ex.sleeps.index(ex.poll_cap) + 1]
         assert ramp == sorted(ramp)
 

@@ -106,13 +106,19 @@ class TestPipelinedWorkerSigkill:
     SIGKILL it mid-stock: every held lease must expire cleanly, a
     survivor must drain the whole plan within the attempt budget, and
     the results must be identical to a serial engine's.
+
+    The plan is led by a short sleep task, so the victim is provably
+    mid-task (and has prefetched behind it) when it is killed, rather
+    than racing to drain all 16 simulations first.
     """
+
+    LEAD = "chaos-lead-sleep"
 
     def test_sigkill_with_prefetched_tasks_still_matches_serial(
             self, tmp_path):
         from repro.core.config import cortex_a53_public_config
         from repro.engine import EvaluationEngine
-        from repro.fabric import expand_grid, plan_simulations
+        from repro.fabric import KIND_SLEEP, expand_grid, plan_simulations
         from repro.store import open_store
         from repro.store.serialize import stats_to_payload
         from repro.workloads.microbench import MICROBENCHMARKS
@@ -138,19 +144,24 @@ class TestPipelinedWorkerSigkill:
         try:
             wait_until_serving(url)
             queue = HttpQueue(url, token=TOKEN)
+            # Enqueued first, so claimed first: the victim sleeps in it
+            # while its dispatcher prefetches simulations behind it.
+            queue.enqueue([(self.LEAD, KIND_SLEEP, {"seconds": 3.0})],
+                          submitted_by="chaos")
             queue.enqueue(plan.tasks, submitted_by="chaos")
 
             # Short lease: the stranded prefetch leases expire fast.
             victim = spawn_worker(url, "--lease", "2", "--max-idle", "60")
-            assert wait_for(lambda: queue.counts()["leased"] >= 2,
-                            timeout=60), \
-                "victim never stocked its prefetch pipeline"
+            assert wait_for(
+                lambda: queue.counts()["leased"] >= 2
+                and queue.states([self.LEAD])[self.LEAD] == "leased",
+                timeout=60), "victim never stocked its prefetch pipeline"
             victim.send_signal(signal.SIGKILL)
             victim.wait(timeout=10)
 
             survivor = spawn_worker(url, "--lease", "5", "--max-idle", "120")
             assert wait_for(
-                lambda: queue.counts()["done"] == len(plan.tasks),
+                lambda: queue.counts()["done"] == len(plan.tasks) + 1,
                 timeout=180), f"queue never drained: {queue.counts()}"
 
             counts = queue.counts()

@@ -33,6 +33,7 @@ TARGET_MODULES = [
     "repro.fabric.tasks",
     "repro.fabric.worker",
     "repro.fabric.status",
+    "repro.pacing",
     "repro.service.protocol",
     "repro.service.server",
     "repro.service.client",
