@@ -623,16 +623,16 @@ def _fresh_trace(wl, scale: float):
 
 
 def _run_batch(scn: BenchScenario, repeats: int) -> dict:
-    """Race-step fusion: K candidates, one instance, one shared pass.
+    """Race-step fusion: K candidates, one instance, one shared stream.
 
     Three measured variants of the same K-candidate x instance block:
 
     - *isolated* — K serial passes, each re-recording and re-flattening
-      the trace (what K independent workers pay today);
+      the trace (what K independent workers pay);
     - *warm serial* — K ``SnipeSim.run`` passes over one memoised trace
       (the best the unbatched in-process path can do);
-    - *batched* — one fresh recording plus one shared columnar pass
-      driving all K cores (``simulate_batch``).
+    - *batched* — one fresh recording, then ``simulate_batch`` runs all
+      K cores over the one issue stream built from it.
 
     The headline number is the batched variant's *effective*
     per-candidate throughput (K x instructions / wall); the telemetry

@@ -28,9 +28,9 @@ simulation stack:
   batched-claim / long-poll / pipelining work);
 - ``batch`` — race-step fusion: K candidate configurations over one
   instance, run as K isolated serial passes (each re-recording the
-  trace — what independent workers pay) versus one shared columnar
-  pass (``simulate_batch``), reporting effective per-candidate
-  throughput and the fusion speedup;
+  trace — what independent workers pay) versus one recording whose
+  issue stream all K share (``simulate_batch``), reporting effective
+  per-candidate throughput and the fusion speedup;
 - ``mmap`` — columnar blob attach cost: memory-mapping persisted trace
   blobs (what the second worker on a host pays) versus recording,
   building and persisting them (what the first worker pays);

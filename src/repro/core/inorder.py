@@ -16,7 +16,6 @@ from repro.branch.ras import ReturnAddressStack
 from repro.branch.unit import (
     REDIRECT_BTB,
     REDIRECT_MISPREDICT,
-    REDIRECT_NONE,
     BranchUnit,
     build_direction_predictor,
     build_indirect_predictor,
@@ -24,22 +23,9 @@ from repro.branch.unit import (
 from repro.core.config import SimConfig
 from repro.core.contention import ContentionModel
 from repro.core.stats import SimStats
-from repro.isa.opclasses import OpClass
 from repro.isa.registers import INT_REG_COUNT, TOTAL_REG_COUNT, ZERO_REG
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.trace.record import Trace, build_stream
-
-_NOP = int(OpClass.NOP)
-_LOAD = int(OpClass.LOAD)
-_STORE = int(OpClass.STORE)
-_LDP = int(OpClass.LDP)
-_STP = int(OpClass.STP)
-_BRANCH_FIRST = int(OpClass.BRANCH)
-_BRANCH_LAST = int(OpClass.RET)
-_IMUL = int(OpClass.IMUL)
-_IDIV = int(OpClass.IDIV)
-_FP_FIRST = int(OpClass.FPALU)
-_FP_LAST = int(OpClass.SIMD_MUL)
+from repro.trace.record import Trace
 
 
 def _build_branch_unit(config: SimConfig) -> BranchUnit:
@@ -65,15 +51,6 @@ class InOrderCore:
         self.hierarchy = MemoryHierarchy(config, effects=effects)
         self.contention = ContentionModel(config.execute)
         self.branch_unit = _build_branch_unit(config)
-
-    def run(self, trace: Trace, decoded: list) -> SimStats:
-        """Replay ``trace`` (pre-decoded as ``decoded``) and account cycles.
-
-        Compatibility wrapper: flattens the records on the fly and defers
-        to :meth:`run_stream`. Callers with a memoised stream (the
-        simulator) should use :meth:`run_stream` directly.
-        """
-        return self.run_stream(trace, build_stream(trace.records, decoded))
 
     def run_stream(self, trace: Trace, stream: list) -> SimStats:
         """Replay the flattened ``stream`` of ``trace`` and account cycles."""
@@ -240,170 +217,6 @@ class InOrderCore:
                 ok = store(addr, pc, t + agu_latency)
                 if ok > t + agu_latency:
                     stall_until = ok
-
-        total_cycles = max(cycle, max_done)
-        return self._stats(trace, total_cycles)
-
-    def stream_runner(self, trace):
-        """Resumable kernel for batched simulation: a generator that
-        consumes issue-tuple chunks via ``send`` and returns this run's
-        :class:`SimStats` when sent ``None``.
-
-        The pipeline state lives in the generator's locals, so the body
-        below is a verbatim copy of :meth:`run_stream`'s loop — chunk
-        boundaries only split the iteration, they cannot change any
-        timestamp. ``run_stream`` stays the reference implementation;
-        the golden batch tests pin the two bit-identical.
-        """
-        cfg = self.config
-        pipeline = cfg.pipeline
-        issue_width = pipeline.issue_width
-        dual_rules = pipeline.dual_issue_rules
-        stall_on_use = pipeline.stall_on_use
-        frontend_depth = pipeline.frontend_depth
-        mispredict_penalty = cfg.branch.mispredict_penalty
-        btb_miss_penalty = cfg.branch.btb_miss_penalty
-        agu_latency = cfg.execute.agu_latency
-
-        hierarchy = self.hierarchy
-        load = hierarchy.load
-        store = hierarchy.store
-        ifetch_line = hierarchy.ifetch_line
-        line_size = hierarchy.line_size
-        l1i_hit = hierarchy.l1i.hit_latency + (1 if hierarchy.l1i.serial_tag_data else 0)
-        contention_fast = self.contention._fast
-        branch_access = self.branch_unit.access
-        effects = self.effects
-        branch_extra = effects.branch_extra if effects is not None else None
-
-        reg_ready = [0] * (TOTAL_REG_COUNT + 1)  # slot -1 aliases the pad
-        cycle = frontend_depth  # pipeline fill
-        slots_used = 0
-        issued_mul = False
-        issued_fp = False
-        frontend_ready = frontend_depth
-        stall_until = 0
-        current_line = -1
-        max_done = 0
-
-        while True:
-            chunk = yield
-            if chunk is None:
-                break
-            for opclass, kind, dst, src1, src2, pc, addr, taken, target in chunk:
-                cfree, latency, occupancy, nunits = contention_fast[opclass]
-
-                # ------------------------------------------ front end
-                pc_line = pc // line_size
-                if pc_line != current_line:
-                    fetch_base = cycle if cycle > frontend_ready else frontend_ready
-                    done = ifetch_line(pc_line, fetch_base, False, False, pc)
-                    extra = done - fetch_base - l1i_hit
-                    if extra > 0:
-                        frontend_ready = fetch_base + extra
-                    current_line = pc_line
-
-                # ------------------------------------------ issue time
-                t = cycle
-                if frontend_ready > t:
-                    t = frontend_ready
-                if stall_until > t:
-                    t = stall_until
-                rr = reg_ready[src1]
-                if rr > t:
-                    t = rr
-                rr = reg_ready[src2]
-                if rr > t:
-                    t = rr
-
-                if t == cycle:
-                    if slots_used >= issue_width:
-                        t = cycle + 1
-                    elif dual_rules and kind & 48:  # KF_MUL | KF_FP
-                        if kind & 16:
-                            if issued_fp:
-                                t = cycle + 1
-                        elif issued_mul:
-                            t = cycle + 1
-
-                if cfree is not None:
-                    if nunits == 1:
-                        bi = 0
-                        best = cfree[0]
-                    elif nunits == 2:
-                        b = cfree[1]
-                        best = cfree[0]
-                        if b < best:
-                            best = b
-                            bi = 1
-                        else:
-                            bi = 0
-                    else:
-                        best = min(cfree)
-                    if best > t:
-                        t = best
-
-                if t == cycle:
-                    slots_used += 1
-                else:
-                    cycle = t
-                    slots_used = 1
-                    issued_mul = False
-                    issued_fp = False
-                if kind & 48:
-                    if kind & 16:
-                        issued_mul = True
-                    else:
-                        issued_fp = True
-
-                # ------------------------------------------ execute
-                if kind & 8:  # KF_NOP
-                    continue
-
-                if cfree is not None:
-                    if nunits <= 2:
-                        cfree[bi] = t + occupancy
-                    else:
-                        best = 0
-                        best_free = cfree[0]
-                        for u in range(1, nunits):
-                            if cfree[u] < best_free:
-                                best_free = cfree[u]
-                                best = u
-                        cfree[best] = t + occupancy
-                done = t + latency
-
-                if not kind & 15:  # plain register op (incl. MUL/FP classes)
-                    if dst >= 0 and not (dst == ZERO_REG and dst < INT_REG_COUNT):
-                        reg_ready[dst] = done
-                    if done > max_done:
-                        max_done = done
-                elif kind & 4:  # KF_BRANCH
-                    redirect = branch_access(opclass, pc, taken, target)
-                    if redirect == REDIRECT_MISPREDICT:
-                        frontend_ready = t + mispredict_penalty
-                        current_line = -1
-                    elif redirect == REDIRECT_BTB:
-                        frontend_ready = t + btb_miss_penalty
-                        current_line = -1
-                    elif taken:
-                        current_line = -1
-                        if branch_extra is not None:
-                            frontend_ready = t + branch_extra()
-                elif kind & 1:  # KF_LOAD
-                    data = load(addr, pc, t + agu_latency)
-                    if dst >= 0 and dst != ZERO_REG:
-                        reg_ready[dst] = data
-                        if kind & 64 and dst + 1 < TOTAL_REG_COUNT:  # KF_PAIR
-                            reg_ready[dst + 1] = data + 1
-                    if not stall_on_use:
-                        stall_until = data
-                    if data > max_done:
-                        max_done = data
-                else:  # KF_STORE
-                    ok = store(addr, pc, t + agu_latency)
-                    if ok > t + agu_latency:
-                        stall_until = ok
 
         total_cycles = max(cycle, max_done)
         return self._stats(trace, total_cycles)

@@ -51,8 +51,8 @@ class EngineTelemetry:
     #: ``sim_cache_hits``/``hw_cache_hits`` as well).
     store_hits: int = 0
     #: Trials executed inside a fused multi-config batch — K candidates
-    #: driven down one shared columnar trace pass (a race step's alive
-    #: set) instead of K independent passes.
+    #: (a race step's alive set) run in one executor call over one
+    #: trace's shared issue stream instead of K independent ones.
     batched_trials: int = 0
     #: Dynamic instructions simulated through shared passes: for each
     #: fused group of K configs over an N-instruction trace, K*N. The
@@ -94,7 +94,6 @@ class BatchTicket:
         self.pairs = pairs
         self.ready: dict = {}            # index -> stats (cache hits)
         self.pending: dict = {}          # key -> [indices]
-        self.key_of: dict = {}           # index -> key
         self.slot_of: dict = {}          # key -> (gi, ci)
         self.key_at: dict = {}           # (gi, ci) -> key
         self.resolved: set = set()       # keys whose stats arrived
@@ -208,9 +207,9 @@ class EvaluationEngine:
 
         With a trace cache configured this is the mmap-attached columnar
         form — the path that lets a fabric worker simulate without ever
-        recording. Without one it is the recorded trace itself; the
-        columnar form is then built lazily (and memoised on the trace)
-        only when an executor actually fuses a multi-config group.
+        recording. Without one it is the recorded trace itself; its
+        columnar form and issue stream are then built on the first
+        simulation and memoised on the trace.
         """
         if self.traces.cache_dir is not None:
             return self.traces.columns(name, self.decoder, self._wl_overrides(name))
@@ -249,15 +248,24 @@ class EvaluationEngine:
         """Simulate one (config, workload) pair; cached by content."""
         return self.simulate_batch([(config, name)])[0]
 
-    def simulate_batch(self, pairs) -> list:
-        """Simulate ``[(config, workload), ...]``; returns aligned stats.
+    def _prepare_batch(self, pairs):
+        """The prologue both batch entry points share.
 
-        Cached results are returned directly; duplicate uncached pairs
-        within the batch run once; the remainder is dispatched to the
-        executor as one parallel block grouped by trace.
+        Counts the requested trials, answers what the result cache or
+        the store already holds, runs duplicate keys once, and groups
+        the unique misses by trace so each trace crosses the executor
+        boundary (at most) once per batch. It also accounts the fusion
+        win: every pass the executor shares between two or more
+        configs (see ``pass_sizes`` on the executors) counts toward
+        ``batched_trials`` and ``shared_pass_instructions``.
+
+        Returns ``(ready, pending, exec_groups, group_keys)``:
+        ``{index: stats}`` answered without simulating, ``{key:
+        [indices]}`` still to run, the executor groups ``(configs,
+        trace_key, trace)``, and each group's keys aligned with its
+        configs.
         """
-        pairs = list(pairs)
-        results = [None] * len(pairs)
+        ready: dict = {}    # index -> stats
         pending: dict = {}  # key -> [indices]
         for idx, (config, name) in enumerate(pairs):
             self.telemetry.requested_trials += 1
@@ -270,46 +278,54 @@ class EvaluationEngine:
                     self.telemetry.store_hits += 1
             if cached is not None:
                 self.telemetry.sim_cache_hits += 1
-                results[idx] = cached
+                ready[idx] = cached
             elif key in pending:
                 self.telemetry.sim_cache_hits += 1
                 pending[key].append(idx)
             else:
                 pending[key] = [idx]
 
-        if pending:
-            # Group the unique jobs by trace so each trace crosses the
-            # executor boundary (at most) once per batch.
-            groups: dict = {}  # trace_key -> (trace, [(key, config)])
-            order = []
-            for key, indices in pending.items():
-                config, name = pairs[indices[0]]
-                tkey = self.traces.key(name, self._wl_overrides(name))
-                if tkey not in groups:
-                    groups[tkey] = (self._sim_trace(name), [])
-                    order.append(tkey)
-                groups[tkey][1].append((key, config))
+        groups: dict = {}  # trace_key -> (trace, [configs], [keys])
+        for key, indices in pending.items():
+            config, name = pairs[indices[0]]
+            tkey = self.traces.key(name, self._wl_overrides(name))
+            if tkey not in groups:
+                groups[tkey] = (self._sim_trace(name), [], [])
+            _trace, configs, keys = groups[tkey]
+            configs.append(config)
+            keys.append(key)
+        exec_groups = [(configs, tkey, trace)
+                       for tkey, (trace, configs, _keys) in groups.items()]
+        group_keys = [keys for _trace, _configs, keys in groups.values()]
 
-            exec_groups = [
-                ([config for _key, config in groups[tkey][1]], tkey, groups[tkey][0])
-                for tkey in order
-            ]
-            # Account the fusion win per group: an executor that fuses
-            # (the serial one, hence also every fabric worker) runs each
-            # multi-config group as one shared columnar pass.
-            if getattr(self._executor, "fuses", False):
-                for configs, _tkey, trace in exec_groups:
-                    if len(configs) >= 2:
-                        self.telemetry.batched_trials += len(configs)
+        pass_sizes = getattr(self._executor, "pass_sizes", None)
+        if pass_sizes is not None:
+            for configs, _tkey, trace in exec_groups:
+                for size in pass_sizes(len(configs)):
+                    if size >= 2:
+                        self.telemetry.batched_trials += size
                         self.telemetry.shared_pass_instructions += (
-                            len(configs) * trace.instruction_count()
+                            size * trace.instruction_count()
                         )
+        return ready, pending, exec_groups, group_keys
+
+    def simulate_batch(self, pairs) -> list:
+        """Simulate ``[(config, workload), ...]``; returns aligned stats.
+
+        Cached results are returned directly; duplicate uncached pairs
+        within the batch run once; the remainder is dispatched to the
+        executor as one parallel block grouped by trace.
+        """
+        pairs = list(pairs)
+        ready, pending, exec_groups, group_keys = self._prepare_batch(pairs)
+        results = [ready.get(idx) for idx in range(len(pairs))]
+        if exec_groups:
             group_stats = self._executor.run(
                 exec_groups, self.decoder, self.traces.items()
             )
             fresh = []
-            for tkey, stats_list in zip(order, group_stats):
-                for (key, _config), stats in zip(groups[tkey][1], stats_list):
+            for keys, stats_list in zip(group_keys, group_stats):
+                for key, stats in zip(keys, stats_list):
                     self._results[key] = stats
                     self.telemetry.unique_trials += 1
                     fresh.append((key, stats))
@@ -337,51 +353,12 @@ class EvaluationEngine:
         Executors lacking ``submit`` (pre-built duck-typed ones) fall
         back to running the whole batch at the first poll.
         """
-        pairs = list(pairs)
-        ticket = BatchTicket(pairs=pairs)
-        for idx, (config, name) in enumerate(pairs):
-            self.telemetry.requested_trials += 1
-            key = self.result_key(config, name)
-            ticket.key_of[idx] = key
-            cached = self._results.get(key)
-            if cached is None and key not in ticket.pending and self.store is not None:
-                cached = self.store.get_sim(key)
-                if cached is not None:
-                    self._results[key] = cached
-                    self.telemetry.store_hits += 1
-            if cached is not None:
-                self.telemetry.sim_cache_hits += 1
-                ticket.ready[idx] = cached
-            elif key in ticket.pending:
-                self.telemetry.sim_cache_hits += 1
-                ticket.pending[key].append(idx)
-            else:
-                ticket.pending[key] = [idx]
-
-        if ticket.pending:
-            groups: dict = {}  # trace_key -> (trace, [(key, config)])
-            order = []
-            for key, indices in ticket.pending.items():
-                config, name = pairs[indices[0]]
-                tkey = self.traces.key(name, self._wl_overrides(name))
-                if tkey not in groups:
-                    groups[tkey] = (self._sim_trace(name), [])
-                    order.append(tkey)
-                groups[tkey][1].append((key, config))
-
-            exec_groups = [
-                ([config for _key, config in groups[tkey][1]], tkey, groups[tkey][0])
-                for tkey in order
-            ]
-            if getattr(self._executor, "fuses", False):
-                for configs, _tkey, trace in exec_groups:
-                    if len(configs) >= 2:
-                        self.telemetry.batched_trials += len(configs)
-                        self.telemetry.shared_pass_instructions += (
-                            len(configs) * trace.instruction_count()
-                        )
-            for gi, tkey in enumerate(order):
-                for ci, (key, _config) in enumerate(groups[tkey][1]):
+        ticket = BatchTicket(pairs=list(pairs))
+        ticket.ready, ticket.pending, exec_groups, group_keys = (
+            self._prepare_batch(ticket.pairs))
+        if exec_groups:
+            for gi, keys in enumerate(group_keys):
+                for ci, key in enumerate(keys):
                     ticket.slot_of[key] = (gi, ci)
                     ticket.key_at[(gi, ci)] = key
             if hasattr(self._executor, "submit"):

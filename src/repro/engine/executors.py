@@ -51,7 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.isa.decoder import decoder_library
 from repro.pacing import Pacer
-from repro.simulator.simulator import SnipeSim, simulate_batch
+from repro.simulator.simulator import simulate_batch
 
 #: Per-executor trace snapshots inherited by forked workers.
 _TRACE_SNAPSHOTS: dict = {}
@@ -64,39 +64,29 @@ def _simulate_chunk(payload):
     configs, snapshot_token, key, trace, decoder_cls = payload
     if trace is None:
         trace = _TRACE_SNAPSHOTS[snapshot_token][key]
-    decoder = decoder_cls()
-    if len(configs) >= 2:
-        # Multi-config chunks share one columnar pass (bit-identical to
-        # the per-config loop; see repro.simulator.simulate_batch).
-        return simulate_batch(trace, list(configs), decoder=decoder)
-    return [SnipeSim(config, decoder=decoder).run(trace) for config in configs]
+    return simulate_batch(trace, list(configs), decoder=decoder_cls())
 
 
 class SerialExecutor:
     """In-process, in-order execution (the ``jobs=1`` path).
 
-    Multi-config groups — a race step's alive candidates over one
-    instance — are *fused*: one shared columnar pass drives every
-    config's core (``simulate_batch``) instead of K independent trace
-    iterations. Single-config groups keep the plain ``SnipeSim.run``
-    reference path. Both produce bit-identical stats; ``fuses`` tells
-    the engine to account the batching in its telemetry.
+    Each group — a race step's alive candidates over one instance — is
+    *fused*: one ``simulate_batch`` call runs every config over the
+    trace's one memoised issue stream.
     """
 
     name = "serial"
     jobs = 1
-    #: Multi-config groups run as one shared pass (engine telemetry).
-    fuses = True
+
+    @staticmethod
+    def pass_sizes(n: int) -> list:
+        """Configs per shared pass for an ``n``-config group: all of them."""
+        return [n]
 
     def run(self, groups, decoder, registry_items=None) -> list:
         """Simulate every group in order; returns per-group stats lists."""
-        out = []
-        for configs, _key, trace in groups:
-            if len(configs) >= 2:
-                out.append(simulate_batch(trace, list(configs), decoder=decoder))
-            else:
-                out.append([SnipeSim(config, decoder=decoder).run(trace) for config in configs])
-        return out
+        return [simulate_batch(trace, list(configs), decoder=decoder)
+                for configs, _key, trace in groups]
 
     # -- non-blocking protocol -----------------------------------------
     def submit(self, groups, decoder, registry_items=None):
@@ -121,12 +111,8 @@ class SerialExecutor:
                     if (gi, ci) not in handle.cancelled]
             if not live:
                 continue
-            if len(live) >= 2:
-                stats = simulate_batch(trace, [c for _ci, c in live],
-                                       decoder=handle.decoder)
-            else:
-                stats = [SnipeSim(config, decoder=handle.decoder).run(trace)
-                         for _ci, config in live]
+            stats = simulate_batch(trace, [c for _ci, c in live],
+                                   decoder=handle.decoder)
             for (ci, _config), s in zip(live, stats):
                 out[(gi, ci)] = s
         return out
@@ -188,15 +174,15 @@ class ProcessExecutor:
         self._snapshot_keys = frozenset(registry)
         self._pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=self._ctx)
 
-    def _chunks(self, configs: list) -> list:
-        n = min(self.jobs, len(configs))
-        base, extra = divmod(len(configs), n)
-        out, start = [], 0
-        for i in range(n):
-            size = base + (1 if i < extra else 0)
-            out.append(configs[start:start + size])
-            start += size
-        return out
+    def pass_sizes(self, n: int) -> list:
+        """Configs per shared pass for an ``n``-config group.
+
+        The group is split into ``min(jobs, n)`` near-equal chunks, one
+        pool task each; a chunk's configs share that task's pass.
+        """
+        chunks = min(self.jobs, n)
+        base, extra = divmod(n, chunks)
+        return [base + (1 if i < extra else 0) for i in range(chunks)]
 
     def _check_reconstructible(self, decoder) -> type:
         """Validate the decoder survives the worker round-trip.
@@ -227,9 +213,10 @@ class ProcessExecutor:
             in_snapshot = self._fork and key in self._snapshot_keys
             ship = None if in_snapshot else trace
             start = 0
-            for chunk in self._chunks(configs):
-                slots = list(range(start, start + len(chunk)))
-                start += len(chunk)
+            for size in self.pass_sizes(len(configs)):
+                chunk = configs[start:start + size]
+                slots = list(range(start, start + size))
+                start += size
                 payload = (chunk, self._token, key, ship, decoder_cls)
                 entries.append([self._pool.submit(_simulate_chunk, payload),
                                 gi, slots, False])

@@ -1,12 +1,12 @@
 """Columnar trace representation and its binary blob format.
 
-The tuple stream of :func:`repro.trace.record.build_stream` is the hot
-in-memory form the timing cores iterate, but it is expensive two ways:
-every Python tuple costs ~200 bytes of heap, and every consumer that is
-not the recording process (a fabric worker, a second race candidate)
-must re-record and re-flatten the trace to obtain it. The
-:class:`ColumnarTrace` fixes both by storing one compact
-:mod:`array`-module column per issue-tuple field —
+The timing cores iterate one flat issue tuple per dynamic instruction,
+but a list of Python tuples is expensive two ways: every tuple costs
+~200 bytes of heap, and every consumer that is not the recording
+process (a fabric worker, another host) would have to re-record the
+trace to obtain it. The :class:`ColumnarTrace` is the one trace
+representation below the recorded :class:`~repro.trace.record.Trace`:
+one compact :mod:`array`-module column per issue-tuple field —
 
 ``opclass, kind, dst, src1, src2, pc, addr, taken, target``
 
@@ -18,13 +18,10 @@ every fabric worker on a host: attaching is a zero-copy
 ``memoryview.cast`` per column over the shared page cache, so the
 second worker pays microseconds where it used to pay a full re-record.
 
-Consumers materialise issue tuples *per chunk*
-(:meth:`ColumnarTrace.chunks`): a batched simulation drives K core
-instances down one pass, each chunk's tuple list shared by all K, and
-peak memory stays bounded by the chunk size instead of the trace
-length. The materialised tuples are value-identical to
-:func:`~repro.trace.record.build_stream` output — the golden-stats
-tests pin that equivalence bit-for-bit.
+The tuple list the cores iterate is materialised from the columns once
+and memoised (:meth:`ColumnarTrace.stream`);
+:meth:`~repro.trace.record.Trace.stream_with` is that same list, so
+every configuration replayed over one trace shares it.
 """
 
 from __future__ import annotations
@@ -55,11 +52,6 @@ COLUMN_FIELDS = (
     ("taken", "B"),
     ("target", "Q"),
 )
-
-#: Instructions per materialised chunk in batched passes. Large enough
-#: to amortise per-chunk overhead, small enough that a chunk's shared
-#: tuple list stays cache- and memory-friendly.
-DEFAULT_CHUNK = 4096
 
 _HEADER = struct.Struct("<4sHHQ")  # magic, version, n_fields, length
 _FIELD_HEADER = struct.Struct("<16scxQ")  # name, typecode, byte length
@@ -103,10 +95,9 @@ class ColumnarTrace:
     def build(cls, records: list, decoded: list, name: str, library: tuple) -> "ColumnarTrace":
         """Columnarise ``records`` + their ``decoded`` forms.
 
-        The per-unique-instruction interning mirrors
-        :func:`~repro.trace.record.build_stream`: opclass conversion and
-        kind-flag derivation happen once per static instruction, not per
-        dynamic occurrence.
+        Decoded instructions are interned per word, so opclass
+        conversion and kind-flag derivation happen once per static
+        instruction, not per dynamic occurrence.
         """
         cols = {fname: array(code) for fname, code in COLUMN_FIELDS}
         op_a = cols["opclass"].append
@@ -270,15 +261,20 @@ class ColumnarTrace:
     # Materialisation
     # ------------------------------------------------------------------
     def tuples(self, start: int, stop: int) -> list:
-        """Issue tuples for ``[start, stop)``, shared-ready.
+        """Issue tuples for ``[start, stop)``.
 
-        Value-identical to the corresponding
-        :func:`~repro.trace.record.build_stream` slice — including
-        ``taken`` coming back as a ``bool`` — so a core consuming these
-        tuples is bit-identical to one consuming the tuple stream.
+        One ``(opclass, kind, dst, src1, src2, pc, addr, taken,
+        target)`` tuple per instruction, with ``taken`` coming back as
+        a ``bool`` — the layout both timing cores unpack.
+
+        Equal rows share one tuple object. A loop body replays the same
+        rows every iteration, so over the workload suite the list
+        allocates ~40% as many tuples (and fresh ``pc``/``addr``/
+        ``target`` ints) as it has instructions.
         """
         cols = self.columns
-        return list(zip(
+        intern = {}.setdefault
+        return [intern(row, row) for row in zip(
             cols["opclass"][start:stop],
             cols["kind"][start:stop],
             cols["dst"][start:stop],
@@ -288,15 +284,10 @@ class ColumnarTrace:
             cols["addr"][start:stop],
             map(bool, cols["taken"][start:stop]),
             cols["target"][start:stop],
-        ))
-
-    def chunks(self, size: int = DEFAULT_CHUNK):
-        """Yield successive shared tuple lists of up to ``size`` rows."""
-        for start in range(0, self.length, size):
-            yield self.tuples(start, start + size)
+        )]
 
     def stream(self) -> list:
-        """The full issue-tuple list (memoised; for serial consumers)."""
+        """The full issue-tuple list the timing cores iterate (memoised)."""
         if self._stream is None:
             self._stream = self.tuples(0, self.length)
         return self._stream

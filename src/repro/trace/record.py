@@ -40,33 +40,6 @@ def _kind_flags(opclass: int) -> int:
 KIND_FLAGS = tuple(_kind_flags(int(op)) for op in OpClass)
 
 
-def build_stream(records: list, decoded: list) -> list:
-    """Flatten ``records`` + their ``decoded`` forms into issue tuples.
-
-    The timing cores consume one flat tuple per dynamic instruction —
-    ``(opclass, kind, dst, src1, src2, pc, addr, taken, target)`` — so
-    the hot loop pays tuple unpacking instead of six attribute loads, an
-    enum conversion and several opclass range tests per instruction.
-    Decoded instructions are interned per word, so the conversion work
-    is memoised per *unique* word here rather than recomputed per
-    dynamic occurrence.
-    """
-    fields_of: dict = {}
-    stream = []
-    append = stream.append
-    for rec, inst in zip(records, decoded):
-        key = id(inst)
-        fields = fields_of.get(key)
-        if fields is None:
-            opclass = int(inst.opclass)
-            fields = (opclass, KIND_FLAGS[opclass], inst.dst, inst.src1, inst.src2)
-            fields_of[key] = fields
-        opclass, kind, dst, src1, src2 = fields
-        append((opclass, kind, dst, src1, src2,
-                rec.pc, rec.addr, rec.taken, rec.target))
-    return stream
-
-
 class DynInst:
     """One dynamically executed instruction, as recorded by the front-end.
 
@@ -121,7 +94,6 @@ class Trace:
         self.records = records
         self.name = name
         self._decoded_cache: dict = {}
-        self._stream_cache: dict = {}
         self._columnar_cache: dict = {}
 
     def __len__(self) -> int:
@@ -134,12 +106,11 @@ class Trace:
         return self.records[idx]
 
     def __getstate__(self) -> dict:
-        # Decoded lists, flattened streams and columnar blobs are bulky
-        # and cheap to rebuild; ship the trace without them to keep
-        # pickles small.
+        # Decoded lists and columnar forms (with their memoised issue
+        # streams) are bulky and cheap to rebuild; ship the trace
+        # without them to keep pickles small.
         state = self.__dict__.copy()
         state["_decoded_cache"] = {}
-        state["_stream_cache"] = {}
         state["_columnar_cache"] = {}
         return state
 
@@ -163,16 +134,14 @@ class Trace:
         """Flat per-record issue tuples for ``decoder`` (memoised).
 
         The stream is the hot-path representation the timing cores
-        iterate (see :func:`build_stream`); like ``decoded_with`` it is
-        cached per decoder *library*, so the thousands of configurations
-        a tuning campaign replays over one trace flatten it exactly once.
+        iterate. It is the memoised
+        :meth:`~repro.trace.columnar.ColumnarTrace.stream` of
+        :meth:`columns_with`, so a trace has one columnar form and one
+        tuple list per decoder *library*, and the thousands of
+        configurations a tuning campaign replays over it flatten it
+        exactly once.
         """
-        key = decoder_library(decoder)
-        cached = self._stream_cache.get(key)
-        if cached is None:
-            cached = build_stream(self.records, self.decoded_with(decoder))
-            self._stream_cache[key] = cached
-        return cached
+        return self.columns_with(decoder).stream()
 
     def columns_with(self, decoder: Decoder):
         """Columnar form of this trace for ``decoder`` (memoised).

@@ -3,14 +3,12 @@
 import pytest
 
 from repro.core.inorder import InOrderCore
-from repro.isa.decoder import Decoder
 from repro.simulator import SnipeSim
 from tests.conftest import make_alu_loop_trace, make_load_loop_trace
 
 
 def _run(config, trace):
-    core = InOrderCore(config)
-    return core.run(trace, trace.decoded_with(Decoder()))
+    return SnipeSim(config).run(trace)
 
 
 class TestThroughput:

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.core.inorder import InOrderCore
 from repro.core.ooo import OutOfOrderCore
-from repro.isa.decoder import Decoder
+from repro.simulator import SnipeSim
 from tests.conftest import make_alu_loop_trace, make_load_loop_trace
 
 
 def _run(config, trace):
-    core = OutOfOrderCore(config)
-    return core.run(trace, trace.decoded_with(Decoder()))
+    return SnipeSim(config).run(trace)
 
 
 class TestWindow:
@@ -20,8 +18,7 @@ class TestWindow:
 
     def test_ooo_overlaps_misses_better_than_inorder(self, a53_config, a72_config):
         trace = make_load_loop_trace(window=1024 * 1024, n_iters=40)
-        inorder = InOrderCore(a53_config)
-        in_cpi = inorder.run(trace, trace.decoded_with(Decoder())).cpi
+        in_cpi = _run(a53_config, trace).cpi
         ooo_cpi = _run(a72_config, trace).cpi
         assert ooo_cpi < 0.8 * in_cpi
 

@@ -1,5 +1,7 @@
 """Unified evaluation engine: caching, batching, parallel determinism."""
 
+import time
+
 import pytest
 
 from repro.core.config import cortex_a53_public_config
@@ -138,6 +140,32 @@ class TestBatching:
         pairs = [(c, n) for c in variants for n in SUBSET_NAMES]
         with make_engine(board, jobs=1) as serial, make_engine(board, jobs=2) as par:
             assert serial.evaluate_batch(pairs) == par.evaluate_batch(pairs)
+
+    @pytest.mark.parametrize("entry", ["simulate_batch", "submit_batch"])
+    @pytest.mark.parametrize("jobs,n_configs,batched", [
+        (1, 6, 6),   # serial: the whole group shares one pass
+        (2, 6, 6),   # two pool chunks of three configs each
+        (2, 2, 0),   # two one-config chunks: nothing shared
+    ])
+    def test_fusion_accounting_counts_shared_passes(self, board, entry, jobs,
+                                                    n_configs, batched):
+        config = cortex_a53_public_config()
+        pairs = [(config.with_updates({"l1d.hit_latency": v}), "ED1")
+                 for v in range(1, n_configs + 1)]
+        with make_engine(board, jobs=jobs) as engine:
+            if entry == "simulate_batch":
+                engine.simulate_batch(pairs)
+            else:
+                ticket = engine.submit_batch(pairs)
+                got: dict = {}
+                deadline = time.monotonic() + 60
+                while len(got) < len(pairs) and time.monotonic() < deadline:
+                    got.update(engine.poll_batch(ticket))
+                    time.sleep(0.005)
+                assert len(got) == len(pairs)
+            length = engine.trace("ED1").instruction_count()
+            assert engine.telemetry.batched_trials == batched
+            assert engine.telemetry.shared_pass_instructions == batched * length
 
     #: Matches make_engine's scale=0.5 so supplied-engine tests line up.
     HALF_SCALE = BudgetProfile("half", 120, 120, microbench_scale=0.5,

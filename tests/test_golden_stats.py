@@ -20,8 +20,7 @@ import pytest
 from repro.core.config import cortex_a53_public_config, cortex_a72_public_config
 from repro.hardware.board import FireflyRK3399
 from repro.isa.decoder import BuggyDecoder, Decoder
-from repro.simulator import SnipeSim, simulate
-from repro.trace.record import build_stream
+from repro.simulator import SnipeSim, simulate, simulate_batch
 from repro.workloads.microbench import MICROBENCHMARKS
 from repro.workloads.spec import SPEC_WORKLOADS
 
@@ -68,22 +67,18 @@ def test_hardware_counters_match_golden(entry):
 
 
 class TestStreamEquivalence:
-    """The compatibility ``run(trace, decoded)`` API and the memoised
-    stream path produce identical stats."""
+    """A batch of one and ``SnipeSim.run`` are the same kernel over the
+    same memoised stream, and that stream has the layout the cores
+    unpack."""
 
     @pytest.mark.parametrize("core,workload", [("a53", "MM"), ("a72", "CS1")])
     def test_run_equals_run_stream(self, core, workload):
         config = _config(core)
         trace = _workload(workload).trace()
         decoder = Decoder()
-        via_sim = simulate(config, trace, decoder=decoder)
-
-        sim = SnipeSim(config, decoder=decoder)
-        core_model = sim._build_core()
-        decoded = trace.decoded_with(decoder)
-        via_run = core_model.run(trace, decoded)
-        via_run.decoder = decoder.name
-        assert asdict(via_run) == asdict(via_sim)
+        via_run = SnipeSim(config, decoder=decoder).run(trace)
+        (via_batch,) = simulate_batch(trace, [config], decoder=decoder)
+        assert asdict(via_batch) == asdict(via_run)
 
     def test_stream_is_memoised_per_decoder_library(self):
         trace = _workload("CCa").trace()
@@ -96,13 +91,15 @@ class TestStreamEquivalence:
     def test_build_stream_layout(self):
         trace = _workload("CCa").trace()
         decoder = Decoder()
-        stream = build_stream(trace.records, trace.decoded_with(decoder))
+        stream = trace.stream_with(decoder)
+        # One trace representation: the stream is the columnar form's.
+        assert stream is trace.columns_with(decoder).stream()
         assert len(stream) == len(trace)
         for (opclass, kind, dst, src1, src2, pc, addr, taken, target), rec in zip(
             stream, trace.records
         ):
             assert isinstance(opclass, int)
             assert isinstance(kind, int)
+            assert isinstance(taken, bool)
             assert pc == rec.pc and addr == rec.addr
             assert taken == rec.taken and target == rec.target
-            break  # layout check on the first record is enough
