@@ -252,7 +252,9 @@ class EvaluationEngine:
         """The prologue both batch entry points share.
 
         Counts the requested trials, answers what the result cache or
-        the store already holds, runs duplicate keys once, and groups
+        the store already holds (every key the cache misses is read
+        with one ``get_sims`` — one store round trip per batch, however
+        many pairs it carries), runs duplicate keys once, and groups
         the unique misses by trace so each trace crosses the executor
         boundary (at most) once per batch. It also accounts the fusion
         win: every pass the executor shares between two or more
@@ -265,14 +267,19 @@ class EvaluationEngine:
         trace_key, trace)``, and each group's keys aligned with its
         configs.
         """
+        keys = [self.result_key(config, name) for config, name in pairs]
+        stored: dict = {}
+        if self.store is not None:
+            missing = [key for key in dict.fromkeys(keys) if key not in self._results]
+            if missing:
+                stored = self.store.get_sims(missing)
         ready: dict = {}    # index -> stats
         pending: dict = {}  # key -> [indices]
-        for idx, (config, name) in enumerate(pairs):
+        for idx, key in enumerate(keys):
             self.telemetry.requested_trials += 1
-            key = self.result_key(config, name)
             cached = self._results.get(key)
-            if cached is None and key not in pending and self.store is not None:
-                cached = self.store.get_sim(key)
+            if cached is None and key not in pending:
+                cached = stored.get(key)
                 if cached is not None:
                     self._results[key] = cached
                     self.telemetry.store_hits += 1

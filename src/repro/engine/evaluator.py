@@ -67,25 +67,40 @@ class TrialCache:
     def _store_key(self, key: tuple) -> tuple:
         return ("cost", self._context, *key)
 
+    def _split(self, pairs) -> tuple:
+        """The prologue both batch entry points share.
+
+        Counts the requested trials, answers what the memo or the store
+        already holds (every key the memo misses is read with one
+        ``get_costs`` — one store round trip per batch) and runs
+        duplicate keys once. Returns ``({index: cost}, {key:
+        [indices]})``: the answered pairs and the unique remainder.
+        """
+        keys = [self.key(assignment, instance) for assignment, instance in pairs]
+        if self._store is not None:
+            missing = {key: self._store_key(key) for key in keys
+                       if key not in self._memo}
+            if missing:
+                stored = self._store.get_costs(missing.values())
+                for key, store_key in missing.items():
+                    value = stored[store_key]
+                    if value is not None:
+                        self._memo[key] = value
+                        self.store_hits += 1
+        ready: dict = {}    # index -> cost
+        pending: dict = {}  # key -> [indices]
+        self.requested_trials += len(pairs)
+        for idx, key in enumerate(keys):
+            if key in self._memo:
+                ready[idx] = self._memo[key]
+            else:
+                pending.setdefault(key, []).append(idx)
+        return ready, pending
+
     def evaluate_batch(self, pairs) -> list:
         pairs = list(pairs)
-        costs = [None] * len(pairs)
-        pending: dict = {}  # key -> [indices]
-        for idx, (assignment, instance) in enumerate(pairs):
-            self.requested_trials += 1
-            key = self.key(assignment, instance)
-            if key not in self._memo and key not in pending and self._store is not None:
-                stored = self._store.get_cost(self._store_key(key))
-                if stored is not None:
-                    self._memo[key] = stored
-                    self.store_hits += 1
-            if key in self._memo:
-                costs[idx] = self._memo[key]
-            elif key in pending:
-                pending[key].append(idx)
-            else:
-                pending[key] = [idx]
-
+        ready, pending = self._split(pairs)
+        costs = [ready.get(idx) for idx in range(len(pairs))]
         if pending:
             todo = [pairs[indices[0]] for indices in pending.values()]
             if self._batch is not None:
@@ -128,21 +143,7 @@ class TrialCache:
         """
         pairs = list(pairs)
         ticket = _TrialTicket(pairs)
-        for idx, (assignment, instance) in enumerate(pairs):
-            self.requested_trials += 1
-            key = self.key(assignment, instance)
-            if key not in self._memo and key not in ticket.pending \
-                    and self._store is not None:
-                stored = self._store.get_cost(self._store_key(key))
-                if stored is not None:
-                    self._memo[key] = stored
-                    self.store_hits += 1
-            if key in self._memo:
-                ticket.ready[idx] = self._memo[key]
-            elif key in ticket.pending:
-                ticket.pending[key].append(idx)
-            else:
-                ticket.pending[key] = [idx]
+        ticket.ready, ticket.pending = self._split(pairs)
 
         if ticket.pending:
             ticket.todo_keys = list(ticket.pending)

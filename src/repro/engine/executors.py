@@ -401,12 +401,11 @@ class FabricExecutor:
         if revive:
             self.queue.requeue_dead(keys=revive)
 
-        slot_key: dict = {}
-        for gi, (configs, tkey, _trace) in enumerate(groups):
-            workload, scale, ovr_token = tkey
-            for ci, config in enumerate(configs):
-                slot_key[(gi, ci)] = self._key_for(
-                    config, workload, scale, dict(ovr_token), decoder)
+        # plan_groups flattens groups in order, so its per-item keys
+        # line up with the (group, config) slots.
+        slots = [(gi, ci) for gi, (configs, _tkey, _trace) in enumerate(groups)
+                 for ci in range(len(configs))]
+        slot_key = dict(zip(slots, plan.item_keys))
         store_hits = set(plan.store_hits)
         return _FabricHandle(
             slot_key=slot_key,
@@ -506,13 +505,6 @@ class FabricExecutor:
             handle.outstanding.discard(key)
             if key in removed:
                 self._in_flight.discard(key)
-
-    @staticmethod
-    def _key_for(config, workload, scale, overrides, decoder) -> str:
-        from repro.engine.keys import sim_key
-        from repro.store.serialize import encode_key
-
-        return encode_key(sim_key(config, workload, scale, overrides, decoder))
 
     def close(self) -> None:
         """Close the queue connection (the store belongs to the engine)."""

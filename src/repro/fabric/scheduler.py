@@ -46,6 +46,9 @@ class TaskPlan:
     #: Keys the caller declared already enqueued (speculative dedup):
     #: planned, awaited, but not re-enqueued.
     in_flight: list = field(default_factory=list)
+    #: One key per *input item*, in input order (duplicates repeated) —
+    #: lets a caller address every submitted slot without re-deriving.
+    item_keys: list = field(default_factory=list)
 
     def summary(self) -> str:
         """One-line account of the plan (used by ``repro submit``)."""
@@ -60,27 +63,30 @@ def plan_simulations(items, store=None, in_flight=None) -> TaskPlan:
     """Plan tasks for ``[(config, workload, scale, overrides, decoder), ...]``.
 
     Deduplicates by content key within the list and, when a ``store``
-    is given, skips every item whose result is already persisted.
+    is given, skips every item whose result is already persisted — one
+    ``get_many`` existence check per plan, however many items.
     ``in_flight`` is an optional set of keys a speculative caller has
     already enqueued and not yet collected — those are planned (they
     appear in ``plan.keys`` and ``plan.in_flight``) but produce no new
     task, so overlapping speculative batches enqueue each key once.
     """
     plan = TaskPlan()
-    seen = set()
+    payloads: dict = {}  # unique key -> payload, first-seen order
     for config, workload, scale, overrides, decoder in items:
         key, payload = sim_task(config, workload, scale, overrides, decoder)
-        if key in seen:
-            continue
-        seen.add(key)
-        plan.keys.append(key)
-        if store is not None and store.get_sim(key) is not None:
+        plan.item_keys.append(key)
+        payloads.setdefault(key, payload)
+    plan.keys = list(payloads)
+    # One existence check for the whole plan; rows are never decoded.
+    stored = (store.backend.get_many("sim_results", plan.keys)
+              if store is not None and plan.keys else {})
+    for key, payload in payloads.items():
+        if stored.get(key) is not None:
             plan.store_hits.append(key)
-            continue
-        if in_flight is not None and key in in_flight:
+        elif in_flight is not None and key in in_flight:
             plan.in_flight.append(key)
-            continue
-        plan.tasks.append((key, KIND_SIMULATE, payload))
+        else:
+            plan.tasks.append((key, KIND_SIMULATE, payload))
     return plan
 
 

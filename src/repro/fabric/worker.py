@@ -60,6 +60,9 @@ from repro.fabric.tasks import KIND_SIMULATE, KIND_SLEEP, rebuild_config, resolv
 from repro.pacing import Pacer
 from repro.store import open_store
 from repro.store.resultstore import ResultStore
+from repro.store.serialize import (
+    dumps, encode_key, loads, stats_from_payload, stats_to_payload,
+)
 
 
 class _WriteBehindStore(ResultStore):
@@ -81,21 +84,32 @@ class _WriteBehindStore(ResultStore):
         return self._worker._buffer_results(items)
 
     def get_sim(self, key):
-        hit = self._worker._buffered_result(key)
-        if hit is not None:
-            return hit
-        from repro.store.serialize import (
-            encode_key, loads, stats_from_payload,
-        )
+        return self.get_sims([key])[key]
 
-        found, row = self._worker._take_precheck(encode_key(key))
-        if found:
-            # The dispatcher already asked the store; a ``None`` row is
-            # an authoritative recent miss (a racing duplicate landing
-            # in between merely costs one idempotent recompute).
-            return (stats_from_payload(loads(row))
-                    if row is not None else None)
-        return super().get_sim(key)
+    def get_sims(self, keys) -> dict:
+        """Answer from the write-behind buffer, then the dispatcher's
+        claim-time precheck; only keys neither holds reach the backend
+        (one ``get_many``, skipped when there are none)."""
+        out: dict = {}
+        ask = []
+        for key in keys:
+            hit = self._worker._buffered_result(key)
+            if hit is not None:
+                out[key] = hit
+                continue
+            found, row = self._worker._take_precheck(encode_key(key))
+            if found:
+                # The dispatcher already asked the store; a ``None`` row
+                # is an authoritative recent miss (a racing duplicate
+                # landing in between merely costs one idempotent
+                # recompute).
+                out[key] = (stats_from_payload(loads(row))
+                            if row is not None else None)
+            else:
+                ask.append(key)
+        if ask:
+            out.update(super().get_sims(ask))
+        return out
 
 
 def _all_workloads() -> list:
@@ -362,8 +376,6 @@ class FabricWorker:
         if fused is None:
             self._flush_results()
             return self.queue.complete_many(items)
-        from repro.store.serialize import dumps, encode_key, stats_to_payload
-
         with self._io_cv:
             results = list(self._results)
             self._results.clear()
@@ -400,8 +412,6 @@ class FabricWorker:
         # still fails loudly downstream, as a result the executor
         # reports "marked done but its result is missing".
         if not getattr(engine, "_fabric_skew_checked", False):
-            from repro.store.serialize import encode_key
-
             local_key = encode_key(engine.result_key(config, workload))
             if local_key != task.key:
                 raise RuntimeError(

@@ -105,6 +105,15 @@ class ResultStore:
         text = self.backend.get("trial_costs", encode_key(key))
         return loads(text) if text is not None else None
 
+    def get_costs(self, keys) -> dict:
+        """``{key: cost_or_None}`` for many tuner memo keys in one round
+        trip (the cost-table twin of :meth:`get_sims`)."""
+        keys = list(keys)
+        encoded = [encode_key(key) for key in keys]
+        raw = self.backend.get_many("trial_costs", encoded)
+        return {key: (loads(raw[enc]) if raw.get(enc) is not None else None)
+                for key, enc in zip(keys, encoded)}
+
     def put_cost_many(self, items) -> int:
         """Persist ``[(key, cost), ...]``; returns rows newly written."""
         return self.backend.put_many(

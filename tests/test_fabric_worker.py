@@ -18,6 +18,7 @@ from repro.fabric import (
 from repro.fabric.tasks import rebuild_config, resolve_decoder
 from repro.isa.decoder import BuggyDecoder, Decoder
 from repro.store import open_store
+from repro.store.serialize import dumps, encode_key, stats_to_payload
 from repro.workloads.microbench import MICROBENCHMARKS
 
 WORKLOADS = [MICROBENCHMARKS[n] for n in ("CCa", "ED1", "MD")]
@@ -104,6 +105,46 @@ class TestPlanning:
         assert plan.tasks == [] and plan.store_hits == plan.keys
         store.close()
 
+    def test_plan_reports_every_item_key_in_input_order(self):
+        base = cortex_a53_public_config()
+        other = base.with_updates({"l1d.hit_latency": 4})
+        items = [(base, "CCa", SCALE, {}, Decoder()),
+                 (other, "CCa", SCALE, {}, Decoder()),
+                 (base, "CCa", SCALE, {}, Decoder())]
+        plan = plan_simulations(items)
+        assert plan.item_keys == [sim_task(*item)[0] for item in items]
+        assert plan.item_keys[0] == plan.item_keys[2] != plan.item_keys[1]
+        assert plan.keys == plan.item_keys[:2]
+
+    def test_plan_checks_the_store_with_one_undecoded_read(
+            self, store_path, monkeypatch):
+        base = cortex_a53_public_config()
+        configs = [base.with_updates({"l1d.hit_latency": n}) for n in (2, 3, 4)]
+        store = open_store(store_path)
+        with EvaluationEngine(workloads=WORKLOADS, scale=SCALE, store=store) as eng:
+            eng.simulate(configs[0], "CCa")
+        reads = []
+        get_many = store.backend.get_many
+
+        def spy(table, keys):
+            reads.append((table, list(keys)))
+            return get_many(table, keys)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("planning decoded or read a row singly")
+
+        monkeypatch.setattr(store.backend, "get_many", spy)
+        monkeypatch.setattr(store.backend, "get", refuse)
+        monkeypatch.setattr(store, "get_sim", refuse)
+        monkeypatch.setattr(store, "get_sims", refuse)
+        items = [(config, "CCa", SCALE, {}, Decoder())
+                 for config in (*configs, configs[1])]
+        plan = plan_simulations(items, store=store)
+        assert reads == [("sim_results", plan.keys)] and len(plan.keys) == 3
+        assert plan.store_hits == plan.keys[:1]
+        assert [key for key, _kind, _payload in plan.tasks] == plan.keys[1:]
+        store.close()
+
 
 class TestWorkerExecution:
     def test_drain_executes_and_persists(self, store_path):
@@ -150,6 +191,45 @@ class TestWorkerExecution:
         assert stats.claimed == 1
         with JobQueue(store_path) as queue:
             assert queue.depth() == 1
+
+
+class TestWriteBehindReads:
+    def test_get_sims_answers_buffer_and_precheck_without_the_backend(
+            self, store_path, monkeypatch):
+        base = cortex_a53_public_config()
+        with EvaluationEngine(workloads=WORKLOADS, scale=SCALE) as eng:
+            buffered, prechecked, missed, cold = (
+                eng.result_key(base.with_updates({"l1d.hit_latency": n}), "CCa")
+                for n in (2, 3, 4, 5))
+            stats = eng.simulate(base, "CCa")
+        worker = FabricWorker(store_path)
+        try:
+            worker._buffer_results([(buffered, stats)])
+            worker._precheck[encode_key(prechecked)] = dumps(stats_to_payload(stats))
+            worker._precheck[encode_key(missed)] = None  # a recent store miss
+            backend = worker.store.backend
+            asked = []
+            get_many = backend.get_many
+
+            def spy(table, keys):
+                asked.append(list(keys))
+                return get_many(table, keys)
+
+            monkeypatch.setattr(backend, "get_many", spy)
+            view = worker._engine_store
+            got = view.get_sims([buffered, prechecked, missed])
+            assert asked == []
+            assert got[buffered] is stats and got[prechecked] == stats
+            assert got[missed] is None
+
+            # Prechecks are single-use; what neither source holds goes
+            # to the backend in one call.
+            got = view.get_sims([buffered, cold, prechecked])
+            assert asked == [[encode_key(cold), encode_key(prechecked)]]
+            assert got[buffered] is stats and got[cold] is None
+            assert view.get_sim(buffered) is stats and len(asked) == 1
+        finally:
+            worker.close()
 
 
 def wait_for(predicate, timeout=30.0, interval=0.01):

@@ -531,6 +531,55 @@ class TestExecutorOverHttp:
             engine.close()
             store.close()
 
+    @staticmethod
+    def _submit_requests(tmp_path, n, stats):
+        """Driver wire requests one ``submit_batch`` of ``n`` pairs costs,
+        with every other pair's result already in the store."""
+        from repro.core.config import cortex_a53_public_config
+        from repro.engine import EvaluationEngine
+        from repro.engine.executors import FabricExecutor
+        from repro.store import open_store
+        from repro.workloads.microbench import MICROBENCHMARKS
+
+        svc = ExperimentService(tmp_path / f"n{n}.sqlite", token=TOKEN,
+                                port=0).start()
+        store = open_store(svc.url, token=TOKEN)
+        executor = FabricExecutor(store)
+        engine = EvaluationEngine(workloads=[MICROBENCHMARKS["CCa"]], scale=0.25,
+                                  store=store, executor=executor)
+        try:
+            base = cortex_a53_public_config()
+            pairs = [(base.with_updates({"l1d.hit_latency": i + 1}), "CCa")
+                     for i in range(n)]
+            store.put_sim_many([(engine.result_key(*pair), stats)
+                                for pair in pairs[::2]])
+            clients = (store.backend.client, executor.queue.client)
+            before = sum(c.telemetry()["wire_requests"] for c in clients)
+            ticket = engine.submit_batch(pairs)
+            after = sum(c.telemetry()["wire_requests"] for c in clients)
+            assert sorted(ticket.ready) == list(range(0, n, 2))
+            assert len(ticket.pending) == n // 2
+            return after - before
+        finally:
+            engine.close()
+            store.close()
+            svc.stop()
+            svc.close()
+
+    def test_submit_round_trips_do_not_grow_with_the_batch(self, tmp_path):
+        """Store prechecks are one bulk read per batch, so the driver's
+        request count for a submit is independent of its size."""
+        from repro.core.config import cortex_a53_public_config
+        from repro.engine import EvaluationEngine
+        from repro.workloads.microbench import MICROBENCHMARKS
+
+        with EvaluationEngine(workloads=[MICROBENCHMARKS["CCa"]],
+                              scale=0.25) as local:
+            stats = local.simulate(cortex_a53_public_config(), "CCa")
+        small = self._submit_requests(tmp_path, 8, stats)
+        large = self._submit_requests(tmp_path, 32, stats)
+        assert small == large, (small, large)
+
     def test_unknown_backend_kind_rejected(self):
         from repro.engine.executors import FabricExecutor
         from repro.store import open_store

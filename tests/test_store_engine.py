@@ -158,3 +158,93 @@ class TestTrialCachePersistence:
             cache = TrialCache(lambda a, i: 1.0, store=store, context=None)
             cache({"a": 1}, "ED1")
             assert store.stats()["trial_costs"] == 0
+
+
+def _count_calls(monkeypatch, obj, name):
+    """Wrap ``obj.name`` so each call's first argument is recorded."""
+    calls = []
+    original = getattr(obj, name)
+
+    def spy(arg, *args, **kwargs):
+        arg = list(arg)
+        calls.append(arg)
+        return original(arg, *args, **kwargs)
+
+    monkeypatch.setattr(obj, name, spy)
+    return calls
+
+
+def _forbid(monkeypatch, obj, name):
+    """Make ``obj.name`` fail the test if anything calls it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called; batches must use the bulk read")
+
+    monkeypatch.setattr(obj, name, refuse)
+
+
+class TestBatchedStoreReads:
+    def test_prepare_batch_telemetry_with_duplicates_and_both_hit_kinds(
+            self, monkeypatch):
+        base = cortex_a53_public_config()
+        a, b, c, d = (base.with_updates({"l1d.hit_latency": n}) for n in (2, 3, 4, 5))
+        with open_store("memory") as store:
+            # b reaches the store through another engine: a store hit here.
+            with EvaluationEngine(workloads=WORKLOADS, scale=0.25,
+                                  store=store) as other:
+                other.simulate(b, "ED1")
+            engine = EvaluationEngine(workloads=WORKLOADS, scale=0.25, store=store)
+            engine.simulate(a, "ED1")  # a: an in-memory hit from here on
+            before = EngineTelemetry(**vars(engine.telemetry))
+            reads = _count_calls(monkeypatch, store, "get_sims")
+            _forbid(monkeypatch, store, "get_sim")
+
+            pairs = [(a, "ED1"), (b, "ED1"), (c, "ED1"), (b, "ED1"),
+                     (c, "ED1"), (d, "ED1"), (a, "ED1")]
+            out = engine.simulate_batch(pairs)
+
+            t = engine.telemetry
+            assert t.requested_trials - before.requested_trials == 7
+            # a twice (memory), b twice (store, then memory), c's repeat
+            # (deduplicated in the batch); c and d run once each.
+            assert t.sim_cache_hits - before.sim_cache_hits == 5
+            assert t.store_hits - before.store_hits == 1
+            assert t.unique_trials - before.unique_trials == 2
+            # One read for the whole batch, carrying each key the
+            # in-memory cache missed exactly once (a is never asked).
+            assert len(reads) == 1
+            assert sorted(map(repr, reads[0])) == sorted(
+                repr(engine.result_key(cfg, "ED1")) for cfg in (b, c, d))
+            assert out[1] is out[3] and out[2] is out[4] and out[0] is out[6]
+            engine.close()
+
+    def test_trial_cache_batch_reads_the_store_once(self, monkeypatch):
+        calls = []
+
+        def evaluate(assignment, instance):
+            calls.append(assignment["a"])
+            return float(assignment["a"])
+
+        with open_store("memory") as store:
+            first = TrialCache(evaluate, store=store, context="run/stage1")
+            first.evaluate_batch([({"a": 1}, "ED1"), ({"a": 2}, "ED1")])
+            calls.clear()
+
+            second = TrialCache(evaluate, store=store, context="run/stage1")
+            reads = _count_calls(monkeypatch, store, "get_costs")
+            _forbid(monkeypatch, store, "get_cost")
+            out = second.evaluate_batch([({"a": 1}, "ED1"), ({"a": 3}, "ED1"),
+                                         ({"a": 2}, "ED1"), ({"a": 3}, "ED1"),
+                                         ({"a": 1}, "ED1")])
+            assert out == [1.0, 3.0, 2.0, 3.0, 1.0]
+            assert len(reads) == 1 and len(reads[0]) == 3
+            assert calls == [3]
+            assert second.store_hits == 2 and second.unique_trials == 1
+            assert second.requested_trials == 5
+
+            # The non-blocking path shares the prologue: one read again,
+            # and only for the key neither memo nor store has seen.
+            third = TrialCache(evaluate, store=store, context="run/stage1")
+            ticket = third.submit_batch([({"a": 2}, "ED1"), ({"a": 4}, "ED1")])
+            assert len(reads) == 2 and len(reads[1]) == 2
+            assert third.poll_batch(ticket) == {0: 2.0, 1: 4.0}
+            assert third.store_hits == 1 and third.unique_trials == 1
