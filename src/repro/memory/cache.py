@@ -71,7 +71,8 @@ class Cache:
                  "serial_tag_data", "ports", "hash", "policy", "victim",
                  "prefetcher", "mshrs", "next_level", "stats", "_sets",
                  "_port_free", "_hit_time", "_tag_time", "_index",
-                 "_single_port", "_lru", "_no_prefetch", "access_line")
+                 "_single_port", "_lru", "_no_prefetch", "access_line",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -427,6 +428,17 @@ class Cache:
                 done = now
             self.mshrs.record(pf_addr, done)
             self._fill(pf_addr, done, dirty=False, prefetched=True)
+
+    def release(self) -> None:
+        """Unbind ``access_line`` once the cache's run is over.
+
+        Either binding refers back to the cache (the general path is a
+        bound method, the fast closure captures ``_fill``), so a bound
+        cache is a reference cycle that only the cyclic GC can free,
+        together with its sets, lines, MSHRs and policy. Releasing it
+        lets a finished run go by refcount; :meth:`reset` rebinds.
+        """
+        self.access_line = None
 
     # ------------------------------------------------------------------
     def contains(self, line_addr: int) -> bool:

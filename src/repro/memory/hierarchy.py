@@ -206,6 +206,16 @@ class MemoryHierarchy:
         return issue
 
     # ------------------------------------------------------------------
+    def release(self) -> None:
+        """Break the caches' self-references once the run is over.
+
+        After this the hierarchy serves no further access until
+        :meth:`reset`; its state is freed by refcount when dropped.
+        """
+        self.l1i.release()
+        self.l1d.release()
+        self.l2.release()
+
     def reset(self) -> None:
         # Downstream first: each cache's reset rebinds its fast access
         # path, and the L1 paths capture the L2's current one.

@@ -186,7 +186,7 @@ class ExperimentService:
             # Drain the request body before any reply can be sent:
             # persistent (keep-alive) clients would otherwise find the
             # unread body bytes where the next request line should be.
-            length = int(handler.headers.get("Content-Length") or 0)
+            length = self._content_length(handler)
             raw = handler.rfile.read(length) if length else b""
             self._check_auth(handler)
             if route != "handshake":
@@ -201,6 +201,21 @@ class ExperimentService:
         except Exception as exc:  # noqa: BLE001 — one request, one reply
             message = redact(f"{type(exc).__name__}: {exc}", self.token)
             self._reply(handler, 500, {"error": message})
+
+    @staticmethod
+    def _content_length(handler) -> int:
+        """The declared body length, validated before anything is read.
+
+        A length that is not a plain decimal count would make the read
+        fail or, when negative, block until the peer hangs up. It gets a
+        400 that closes the connection, since where the body ends is
+        then unknowable.
+        """
+        text = (handler.headers.get("Content-Length") or "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            raise _ServiceError(400, f"malformed Content-Length {text!r}",
+                                {"Connection": "close"})
+        return int(text)
 
     def _check_auth(self, handler) -> None:
         header = handler.headers.get("Authorization", "")

@@ -37,13 +37,12 @@ machine, which is what makes the equivalence hold by construction.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy import stats
-
 from repro.pacing import Pacer
+from repro.tuning import stats
 
 
 @dataclass
@@ -82,25 +81,27 @@ class RaceResult:
         }
 
 
-def _friedman_eliminate(costs: np.ndarray, alive: list, alpha: float) -> list:
+def _friedman_eliminate(costs: list, alive: list, alpha: float) -> list:
     """Conover post-hoc elimination; returns the indices to eliminate.
 
-    ``costs`` is (n_alive, n_instances). Candidates whose rank sum
-    exceeds the best's by more than the critical difference go.
+    ``costs`` holds one row of per-instance costs per alive candidate.
+    Candidates whose rank sum exceeds the best's by more than the
+    critical difference go.
     """
-    k, b = costs.shape
-    if k < 2 or b < 2:
+    if len(costs) < 2 or len(costs[0]) < 2:
         return []
-    # Rank within each instance column (1 = best/lowest cost).
-    ranks = np.apply_along_axis(stats.rankdata, 0, costs)
-    rank_sums = ranks.sum(axis=1)
-    a2 = float((ranks**2).sum())
-    b2 = float((rank_sums**2).sum()) / b
+    k, b = len(costs), len(costs[0])
+    # Rank within each instance column (1 = best/lowest cost). Ranks are
+    # half-integers, so every sum below is exact in any order.
+    columns = [stats.average_ranks(col) for col in zip(*costs)]
+    rank_sums = [sum(row) for row in zip(*columns)]
+    a2 = sum(r * r for col in columns for r in col)
+    b2 = sum(s * s for s in rank_sums) / b
     mean_term = b * k * (k + 1) ** 2 / 4.0
     numer = b2 - mean_term
     spread = a2 - b2
     df = (b - 1) * (k - 1)
-    best = int(np.argmin(rank_sums))
+    best = stats.argmin(rank_sums)
 
     if spread <= 1e-9:
         if numer <= 1e-9:
@@ -112,10 +113,10 @@ def _friedman_eliminate(costs: np.ndarray, alive: list, alpha: float) -> list:
 
     # Conover's F-statistic for the Friedman test.
     t_stat = (k - 1) * numer / spread
-    p_value = stats.f.sf(t_stat, k - 1, df)
+    p_value = stats.f_sf(t_stat, k - 1, df)
     if p_value > alpha:
         return []
-    critical = stats.t.ppf(1 - alpha / 2.0, df) * np.sqrt(2.0 * b * spread / df)
+    critical = stats.t_ppf(1 - alpha / 2.0, df) * math.sqrt(2.0 * b * spread / df)
     out = []
     for i in range(k):
         if i != best and rank_sums[i] - rank_sums[best] > critical:
@@ -123,25 +124,35 @@ def _friedman_eliminate(costs: np.ndarray, alive: list, alpha: float) -> list:
     return out
 
 
-def _ttest_eliminate(costs: np.ndarray, alive: list, alpha: float) -> list:
+def _ttest_eliminate(costs: list, alive: list, alpha: float) -> list:
     """Paired t-test of each candidate against the best-mean candidate."""
-    k, b = costs.shape
-    if k < 2 or b < 2:
+    if len(costs) < 2 or len(costs[0]) < 2:
         return []
-    means = costs.mean(axis=1)
-    best = int(np.argmin(means))
+    k, b = len(costs), len(costs[0])
+    best = stats.argmin([stats.mean(row) for row in costs])
+    ref = costs[best]
     out = []
     for i in range(k):
         if i == best:
             continue
-        diff = costs[i] - costs[best]
-        if np.allclose(diff, 0):
+        diff = [x - y for x, y in zip(costs[i], ref)]
+        if all(abs(d) <= 1e-8 for d in diff):
             continue
-        t_stat, p_two = stats.ttest_rel(costs[i], costs[best])
         # One-sided: candidate i is worse.
-        if t_stat > 0 and p_two / 2.0 < alpha:
+        t_stat = _paired_t(diff)
+        if t_stat > 0 and stats.t_sf(t_stat, b - 1) < alpha:
             out.append(alive[i])
     return out
+
+
+def _paired_t(diff: list) -> float:
+    """The paired t statistic of ``diff`` (mean over its standard error)."""
+    n = len(diff)
+    m = stats.mean(diff)
+    var = stats.mean([(d - m) ** 2 for d in diff]) * (n / (n - 1))
+    if var == 0.0:
+        return math.copysign(math.inf, m) if m else math.nan
+    return m / math.sqrt(var / n)
 
 
 class _RaceState:
@@ -190,13 +201,13 @@ class _RaceState:
         self.instances_used = self.step
 
         if self.step >= self.first_test and len(self.alive) > self.min_survivors:
-            arr = np.array([self.cost_rows[i] for i in self.alive])
-            to_drop = self.eliminate_fn(arr, self.alive, self.alpha)
+            rows = [self.cost_rows[i] for i in self.alive]
+            to_drop = self.eliminate_fn(rows, self.alive, self.alpha)
             if to_drop:
                 drop_set = set(to_drop)
                 # Never drop below min_survivors: keep the best-mean ones.
                 if len(self.alive) - len(drop_set) < self.min_survivors:
-                    means = {i: float(np.mean(self.cost_rows[i])) for i in self.alive}
+                    means = {i: stats.mean(self.cost_rows[i]) for i in self.alive}
                     keep = sorted(self.alive, key=means.__getitem__)[:self.min_survivors]
                     drop_set -= set(keep)
                 for i in drop_set:
@@ -204,7 +215,7 @@ class _RaceState:
                 self.alive = [i for i in self.alive if i not in drop_set]
 
     def result(self, wasted: int = 0) -> RaceResult:
-        means = {i: float(np.mean(self.cost_rows[i])) for i in self.alive}
+        means = {i: stats.mean(self.cost_rows[i]) for i in self.alive}
         survivors = sorted(self.alive, key=means.__getitem__)
         return RaceResult(
             survivors=survivors,

@@ -610,3 +610,29 @@ class TestBadRequests:
             _raw_request(service.url, method="POST", endpoint="store/get",
                          body={"table": "nope; DROP TABLE", "key": "k"})
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("length", ["-1", "-5", "abc", "1_0", "+3"])
+    def test_malformed_content_length_is_400_and_closes(self, service, length):
+        """A bad length is refused before any read, without a token.
+
+        ``-1`` used to block the handler in ``rfile.read(-1)`` until the
+        client hung up; ``abc`` and ``-5`` used to be 500s.
+        """
+        host, port = service.url[len("http://"):].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.settimeout(1.0)
+            sock.sendall(
+                f"POST {API_PREFIX}/queue/states HTTP/1.1\r\n"
+                f"Host: {host}\r\nContent-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            while True:  # the server closes the connection after replying
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        status_line = reply.split(b"\r\n", 1)[0]
+        assert status_line.split()[1] == b"400", reply
+        assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
+        # The server is still serving well-formed requests.
+        status, card = _raw_request(service.url)
+        assert status == 200 and card["service"] == "repro-serve"

@@ -40,6 +40,7 @@ TARGET_MODULES = [
     "repro.validation.campaign",
     "repro.tuning.irace",
     "repro.tuning.race",
+    "repro.tuning.stats",
     "repro.bench.scenarios",
     "repro.bench.harness",
     "repro.trace.record",
