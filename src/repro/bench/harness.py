@@ -18,7 +18,7 @@ import subprocess
 import time
 from dataclasses import asdict
 
-from repro.bench.scenarios import BenchScenario, get_suite
+from repro.bench.scenarios import BenchScenario, get_suite, sampled_config
 
 #: Bump on any incompatible change to the report layout.
 SCHEMA_VERSION = 1
@@ -94,17 +94,21 @@ def _run_simulate(scn: BenchScenario, repeats: int) -> dict:
     """Steady-state simulator throughput over pre-recorded traces."""
     from repro.simulator import simulate
 
-    config = _config_for(scn.core)
+    if scn.sampled_seeds:
+        configs = [sampled_config(scn.core, seed) for seed in scn.sampled_seeds]
+    else:
+        configs = [_config_for(scn.core)]
     traces = [_workload(n).trace(scale=scn.scale) for n in scn.workloads]
-    instructions = sum(len(t) for t in traces)
+    instructions = len(configs) * sum(len(t) for t in traces)
     # Warm pass: records decode/stream caches and yields the cycle count
     # (identical on every pass — simulation is deterministic).
-    cycles = sum(simulate(config, t).cycles for t in traces)
+    cycles = sum(simulate(config, t).cycles for config in configs for t in traces)
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for trace in traces:
-            simulate(config, trace)
+        for config in configs:
+            for trace in traces:
+                simulate(config, trace)
         best = min(best, time.perf_counter() - t0)
     return {
         "instructions": instructions,

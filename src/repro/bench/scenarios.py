@@ -75,6 +75,10 @@ class BenchScenario:
         For ``engine`` scenarios: configuration override axes as a
         tuple of ``(dotted_key, (value, ...))`` pairs whose cross
         product forms the submitted configurations.
+    sampled_seeds:
+        For ``simulate`` scenarios: seeds of stage-2 tuning candidates
+        (:func:`sampled_config`) to simulate instead of the public
+        configuration — the configurations a race actually runs.
     """
 
     name: str
@@ -84,6 +88,7 @@ class BenchScenario:
     repeats: int = 3
     scale: float = 1.0
     grid: tuple = field(default=())
+    sampled_seeds: tuple = ()
 
 
 #: Category-balanced ten-kernel subset used by the quick suite.
@@ -122,6 +127,29 @@ RACE_KERNELS = ("CCa", "CRd", "CS1", "ED1", "MC", "MD", "ML2_BWld", "STc",
                 "DP1f", "EI", "MM", "STL2", "CCh", "CF1", "EM1", "MI")
 
 
+#: Stage-2 candidate seeds of the ``-sampled`` simulate scenarios.
+SAMPLED_SEEDS = tuple(range(12))
+QUICK_SAMPLED_SEEDS = SAMPLED_SEEDS[:4]
+
+
+def sampled_config(core: str, seed: int):
+    """Stage-2 tuning candidate ``seed`` of ``core`` (``a53``/``a72``).
+
+    One value per stage-2 parameter, drawn as a race's random candidate
+    sampling does: prefetchers, victim buffers, non-LRU policies and
+    other set-index hashes, on top of the public configuration.
+    """
+    import random
+
+    from repro.core.config import cortex_a53_public_config, cortex_a72_public_config
+    from repro.validation.steps import param_space_for
+
+    public = {"a53": cortex_a53_public_config, "a72": cortex_a72_public_config}[core]()
+    rng = random.Random(seed)
+    return public.with_updates(
+        {p.name: rng.choice(p.values) for p in param_space_for(public.core_type, 2)})
+
+
 def _microbench_names() -> tuple:
     from repro.workloads.microbench import MICROBENCHMARKS
 
@@ -143,6 +171,10 @@ def full_suite() -> list:
                       repeats=5),
         BenchScenario("table1-a72", "simulate", core="a72", workloads=micro,
                       repeats=5),
+        BenchScenario("table1-a53-sampled", "simulate", core="a53",
+                      workloads=micro, sampled_seeds=SAMPLED_SEEDS),
+        BenchScenario("table1-a72-sampled", "simulate", core="a72",
+                      workloads=micro, sampled_seeds=SAMPLED_SEEDS),
         BenchScenario("spec-a53", "simulate", core="a53", workloads=spec),
         BenchScenario("spec-a72", "simulate", core="a72", workloads=spec),
         BenchScenario("trace-record", "trace", workloads=micro),
@@ -174,6 +206,12 @@ def quick_suite() -> list:
                       workloads=QUICK_KERNELS, repeats=2),
         BenchScenario("table1-a72-quick", "simulate", core="a72",
                       workloads=QUICK_KERNELS, repeats=2),
+        BenchScenario("table1-a53-sampled-quick", "simulate", core="a53",
+                      workloads=QUICK_KERNELS, repeats=2,
+                      sampled_seeds=QUICK_SAMPLED_SEEDS),
+        BenchScenario("table1-a72-sampled-quick", "simulate", core="a72",
+                      workloads=QUICK_KERNELS, repeats=2,
+                      sampled_seeds=QUICK_SAMPLED_SEEDS),
         BenchScenario("spec-a53-quick", "simulate", core="a53",
                       workloads=QUICK_SPEC, repeats=2),
         BenchScenario("trace-record-quick", "trace", workloads=QUICK_KERNELS,

@@ -38,6 +38,11 @@ class TestScenarioDeterminism:
         assert suite["table1-a53"].kind == "simulate"
         assert len(suite["table1-a53"].workloads) == 40
         assert len(suite["table1-a72"].workloads) == 40
+        for core in ("a53", "a72"):
+            sampled = suite[f"table1-{core}-sampled"]
+            assert sampled.workloads == suite[f"table1-{core}"].workloads
+            assert sampled.sampled_seeds == tuple(range(12))
+        assert suite["table1-a53"].sampled_seeds == ()
         assert suite["spec-a53"].kind == "simulate"
         assert len(suite["spec-a53"].workloads) == 11
         assert suite["trace-record"].kind == "trace"
@@ -78,6 +83,16 @@ class TestRunScenario:
         assert record["instructions_per_second"] > 0
         assert record["cycles_per_second"] > 0
         assert record["telemetry"] is None
+
+    def test_sampled_simulate_scenario_runs_every_candidate(self):
+        one = run_scenario(BenchScenario("t-one", "simulate", core="a72",
+                                         workloads=("CCa", "MM"), repeats=1))
+        scn = BenchScenario("t-sampled", "simulate", core="a72",
+                            workloads=("CCa", "MM"), repeats=1,
+                            sampled_seeds=(0, 1, 2))
+        record = run_scenario(scn)
+        assert record["instructions"] == 3 * one["instructions"]
+        assert record["cycles"] != 3 * one["cycles"]  # not the public config
 
     def test_trace_scenario_record(self):
         scn = BenchScenario("t-trace", "trace", workloads=("CCa",), repeats=1)
