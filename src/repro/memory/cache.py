@@ -70,9 +70,7 @@ class Cache:
     __slots__ = ("name", "size", "assoc", "line_size", "n_sets", "hit_latency",
                  "serial_tag_data", "ports", "hash", "policy", "victim",
                  "prefetcher", "mshrs", "next_level", "stats", "_sets",
-                 "_port_free", "_hit_time", "_tag_time", "_index",
-                 "_single_port", "_lru", "_no_prefetch", "access_line",
-                 "__weakref__")
+                 "_port_free", "access_line", "__weakref__")
 
     def __init__(
         self,
@@ -117,102 +115,122 @@ class Cache:
         # the sets; building hundreds of dicts per run is pure overhead).
         self._sets = [None] * self.n_sets
         self._port_free = [0] * ports
-        # Effective latencies: serial tag->data access adds one cycle to
-        # hits; the miss determination needs only the tag array.
-        self._hit_time = hit_latency + (1 if serial_tag_data else 0)
-        self._tag_time = 2 if serial_tag_data else 1
-        # Hot-path shortcuts resolved once: the set-index function, the
-        # common single-ported geometry, LRU recency maintenance (dict
-        # pop/reinsert, inlined to skip a method call per hit) and the
-        # no-op prefetcher (skips the observe call entirely).
-        self._index = self.hash.index
-        self._single_port = ports == 1
-        self._lru = isinstance(self.policy, LRUPolicy)
-        self._no_prefetch = isinstance(self.prefetcher, NullPrefetcher)
         self._install_access_path()
 
     # ------------------------------------------------------------------
-    def _claim_port(self, now: int) -> int:
-        ports = self._port_free
-        best = 0
-        best_free = ports[0]
-        for i in range(1, len(ports)):
-            if ports[i] < best_free:
-                best_free = ports[i]
-                best = i
-        start = now if now > best_free else best_free
-        ports[best] = start + 1
-        return start
-
-    def _fill(self, line_addr: int, ready: int, dirty: bool, prefetched: bool) -> None:
-        """Install ``line_addr``; evict (and maybe write back) a victim."""
-        idx = self._index(line_addr)
-        entries = self._sets[idx]
-        if entries is None:
-            entries = self._sets[idx] = {}
-        existing = entries.get(line_addr)
-        if existing is not None:
-            existing.dirty = existing.dirty or dirty
-            if ready < existing.ready:
-                existing.ready = ready
-            return
-        if len(entries) >= self.assoc:
-            victim_tag = self.policy.choose_victim(entries)
-            victim_line = entries.pop(victim_tag)
-            self._handle_eviction(victim_tag, victim_line, ready)
-        entries[line_addr] = _Line(dirty=dirty, ready=ready, prefetched=prefetched)
-
-    def _handle_eviction(self, line_addr: int, line: _Line, now: int) -> None:
-        if self.victim is not None:
-            overflow_addr, overflow_dirty = self.victim.insert(line_addr, line.dirty)
-            if overflow_addr is not None and overflow_dirty:
-                self._writeback(overflow_addr, now)
-        elif line.dirty:
-            self._writeback(line_addr, now)
-
-    def _writeback(self, line_addr: int, now: int) -> None:
-        self.stats.writebacks += 1
-        if self.next_level is not None:
-            self.next_level.access_line(line_addr, now, True, False)
-
-    # ------------------------------------------------------------------
     def _install_access_path(self) -> None:
-        """Bind ``access_line`` to the fastest applicable implementation.
+        """Build ``access_line``, one closure specialised to this cache.
 
-        For the common geometry — single-ported, LRU, victimless, no
-        prefetcher — a monomorphic closure with every per-access
-        attribute pre-resolved replaces the general method. The closure
-        is timing- and stats-identical to :meth:`_access_line_general`
-        (whose code paths it specialises); anything fancier falls back
-        to the general method. Re-installed by :meth:`reset`, which
-        replaces the bound state objects.
+        Every per-access decision that depends only on the geometry is
+        made here, once: mask or ``index()`` hashing, one port or many,
+        inlined LRU recency or the policy's ``on_hit``/``choose_victim``,
+        the victim buffer, the prefetcher's ``observe`` and the next
+        level. The access path then branches only on captured values, so
+        a trivial component (no prefetcher, no victim buffer) costs one
+        test. Nothing here captures ``self``: a finished cache holds no
+        reference cycle and is freed by refcount. Rebuilt by
+        :meth:`reset`, which replaces the bound state objects.
         """
-        if not (self._single_port and self._lru and self._no_prefetch
-                and self.victim is None):
-            self.access_line = self._access_line_general
-            return
-
         stats = self.stats
         sets = self._sets
-        index = self._index
+        index = self.hash.index
         # Power-of-two mask indexing (the default) inlines to one AND.
         mask = -1
         if isinstance(self.hash, MaskHash) and self.hash._pow2:
             mask = self.hash._mask
         ports = self._port_free
-        hit_time = self._hit_time
-        tag_time = self._tag_time
+        single_port = len(ports) == 1
+        # Serial tag->data access adds one cycle to hits; the miss
+        # determination needs only the tag array.
+        hit_latency = self.hit_latency
+        hit_time = hit_latency + (1 if self.serial_tag_data else 0)
+        tag_time = 2 if self.serial_tag_data else 1
         assoc = self.assoc
+        policy = self.policy
+        lru = isinstance(policy, LRUPolicy)
+        on_hit = policy.on_hit
+        choose_victim = policy.choose_victim
+        victim = self.victim
+        probe = victim.probe if victim is not None else None
+        victim_insert = victim.insert if victim is not None else None
+        observe = (None if isinstance(self.prefetcher, NullPrefetcher)
+                   else self.prefetcher.observe)
         mshrs = self.mshrs
         mshr_entries = mshrs.entries
         mshr_heap = mshrs._heap
         mshr_inflight = mshrs._inflight
         mshr_expire = mshrs._expire
-        fill = self._fill
         next_level = self.next_level
         next_access = next_level.access_line if next_level is not None else None
         heappush = heapq.heappush
         line_cls = _Line
+
+        def claim_port(now: int) -> int:
+            best = 0
+            best_free = ports[0]
+            for i in range(1, len(ports)):
+                if ports[i] < best_free:
+                    best_free = ports[i]
+                    best = i
+            start = now if now > best_free else best_free
+            ports[best] = start + 1
+            return start
+
+        def writeback(line_addr: int, now: int) -> None:
+            stats.writebacks += 1
+            if next_access is not None:
+                next_access(line_addr, now, True, False)
+
+        def evict(entries: dict, now: int) -> None:
+            """Make room in the full set ``entries``."""
+            victim_tag = next(iter(entries)) if lru else choose_victim(entries)
+            victim_line = entries.pop(victim_tag)
+            if victim_insert is not None:
+                overflow_addr, overflow_dirty = victim_insert(victim_tag, victim_line.dirty)
+                if overflow_addr is not None and overflow_dirty:
+                    writeback(overflow_addr, now)
+            elif victim_line.dirty:
+                writeback(victim_tag, now)
+
+        def fill(line_addr: int, ready: int, dirty: bool, prefetched: bool) -> None:
+            """Install ``line_addr`` (off the demand-miss path)."""
+            idx = line_addr & mask if mask >= 0 else index(line_addr)
+            entries = sets[idx]
+            if entries is None:
+                entries = sets[idx] = {}
+            existing = entries.get(line_addr)
+            if existing is not None:
+                existing.dirty = existing.dirty or dirty
+                if ready < existing.ready:
+                    existing.ready = ready
+                return
+            if len(entries) >= assoc:
+                evict(entries, ready)
+            entries[line_addr] = line_cls(dirty, ready, prefetched)
+
+        def prefetch(line_addr: int, pc: int, hit: bool, now: int) -> None:
+            """Train the prefetcher on a demand access; issue its lines."""
+            candidates = observe(line_addr, pc, hit)
+            if not candidates:
+                return
+            for pf_addr in candidates:
+                if pf_addr < 0:
+                    continue
+                pf_set = sets[pf_addr & mask if mask >= 0 else index(pf_addr)]
+                if pf_set is not None and pf_addr in pf_set:
+                    continue
+                if mshr_inflight:
+                    if mshr_heap[0][0] <= now:
+                        mshr_expire(now)
+                    if pf_addr in mshr_inflight:
+                        continue
+                if len(mshr_inflight) >= mshr_entries:
+                    break  # never stall demand traffic for prefetches
+                stats.prefetches_issued += 1
+                done = next_access(pf_addr, now, False, True) if next_access is not None else now
+                mshr_inflight[pf_addr] = done
+                heappush(mshr_heap, (done, pf_addr))
+                fill(pf_addr, done, False, True)
 
         def access_line(
             line_addr: int,
@@ -224,9 +242,12 @@ class Cache:
             """Access one line; returns the absolute data-ready cycle."""
             if not is_prefetch:
                 stats.accesses += 1
-            free = ports[0]
-            start = now if now > free else free
-            ports[0] = start + 1
+            if single_port:
+                free = ports[0]
+                start = now if now > free else free
+                ports[0] = start + 1
+            else:
+                start = claim_port(now)
 
             idx = line_addr & mask if mask >= 0 else index(line_addr)
             entries = sets[idx]
@@ -239,8 +260,8 @@ class Cache:
             if line is not None:
                 done = start + hit_time
                 if line.ready > done:
-                    # In-flight line: a delayed hit (merged into the
-                    # outstanding miss).
+                    # In-flight line: a delayed hit. A demand fill in
+                    # flight means this access merged into the miss.
                     done = line.ready
                     if not is_prefetch:
                         if line.prefetched:
@@ -252,20 +273,36 @@ class Cache:
                     if line.prefetched:
                         stats.prefetch_hits += 1
                         line.prefetched = False
-                # Inlined LRUPolicy.on_hit: move to the recency tail.
-                entries[line_addr] = entries.pop(line_addr)
+                if lru:
+                    # Inlined LRUPolicy.on_hit: move to the recency tail.
+                    entries[line_addr] = entries.pop(line_addr)
+                else:
+                    on_hit(entries, line_addr)
                 if is_write:
                     line.dirty = True
+                if observe is not None and not is_prefetch:
+                    prefetch(line_addr, pc, True, done)
                 return done
 
             # -------------------------------------------------- miss path
             tag_done = start + tag_time
+
+            if probe is not None and probe(line_addr):
+                if not is_prefetch:
+                    stats.hits += 1
+                    stats.victim_hits += 1
+                done = tag_done + hit_latency  # swap takes an extra access
+                fill(line_addr, done, is_write, False)
+                if observe is not None and not is_prefetch:
+                    prefetch(line_addr, pc, True, done)
+                return done
+
             if not is_prefetch:
                 stats.misses += 1
 
-            # Inlined MSHRFile lookup + allocate: one expiry sweep serves
-            # both (identical state evolution — lookup's sweep is what
-            # allocate would repeat at the same cycle).
+            # MSHRs: one expiry sweep serves both the merge lookup and
+            # the allocation (the allocation's sweep at the same cycle
+            # would find nothing left to expire).
             if mshr_inflight:
                 if mshr_heap[0][0] <= tag_done:
                     mshr_expire(tag_done)
@@ -279,6 +316,7 @@ class Cache:
                 if len(mshr_inflight) < mshr_entries:
                     issue = tag_done
                 else:
+                    # Full: wait for the earliest fill to complete.
                     earliest = mshr_heap[0][0]
                     mshr_expire(earliest)
                     issue = tag_done if tag_done > earliest else earliest
@@ -289,156 +327,19 @@ class Cache:
                 done = next_access(line_addr, issue, False, is_prefetch)
             else:
                 done = issue  # no backing level configured (unit tests)
-            # Inlined MSHRFile.record.
             mshr_inflight[line_addr] = done
             heappush(mshr_heap, (done, line_addr))
 
-            # Inlined _fill for the victimless-LRU fast path.
-            existing = entries.get(line_addr)
-            if existing is not None:
-                existing.dirty = existing.dirty or is_write
-                if done < existing.ready:
-                    existing.ready = done
-            else:
-                if len(entries) >= assoc:
-                    victim_tag = next(iter(entries))  # LRU victim
-                    victim_line = entries.pop(victim_tag)
-                    if victim_line.dirty:
-                        # Inlined _writeback.
-                        stats.writebacks += 1
-                        if next_access is not None:
-                            next_access(victim_tag, done, True, False)
-                entries[line_addr] = line_cls(is_write, done, is_prefetch)
+            # The set cannot have changed since the lookup: the next
+            # level never calls back into this one.
+            if len(entries) >= assoc:
+                evict(entries, done)
+            entries[line_addr] = line_cls(is_write, done, is_prefetch)
+            if observe is not None and not is_prefetch:
+                prefetch(line_addr, pc, False, tag_done)
             return done
 
         self.access_line = access_line
-
-    def _access_line_general(
-        self,
-        line_addr: int,
-        now: int,
-        is_write: bool = False,
-        is_prefetch: bool = False,
-        pc: int = 0,
-    ) -> int:
-        """Access one line; returns the absolute data-ready cycle."""
-        stats = self.stats
-        if not is_prefetch:
-            stats.accesses += 1
-        if self._single_port:
-            # Inlined single-port claim (the overwhelmingly common
-            # geometry): same arithmetic as _claim_port for one port.
-            ports = self._port_free
-            free = ports[0]
-            start = now if now > free else free
-            ports[0] = start + 1
-        else:
-            start = self._claim_port(now)
-
-        idx = self._index(line_addr)
-        entries = self._sets[idx]
-        if entries is None:
-            entries = self._sets[idx] = {}
-            line = None
-        else:
-            line = entries.get(line_addr)
-
-        if line is not None:
-            done = start + self._hit_time
-            if line.ready > done:
-                # In-flight line: a delayed hit. A demand fill in flight
-                # means this access merged into the outstanding miss.
-                done = line.ready
-                if not is_prefetch:
-                    if line.prefetched:
-                        stats.late_prefetch_hits += 1
-                    else:
-                        stats.mshr_merges += 1
-            if not is_prefetch:
-                stats.hits += 1
-                if line.prefetched:
-                    stats.prefetch_hits += 1
-                    line.prefetched = False
-            if self._lru:
-                # Inlined LRUPolicy.on_hit: move to the recency tail.
-                entries[line_addr] = entries.pop(line_addr)
-            else:
-                self.policy.on_hit(entries, line_addr)
-            if is_write:
-                line.dirty = True
-            if not self._no_prefetch:
-                self._maybe_prefetch(line_addr, pc, True, done, not is_prefetch)
-            return done
-
-        # ------------------------------------------------------ miss path
-        tag_done = start + self._tag_time
-
-        if self.victim is not None and self.victim.probe(line_addr):
-            if not is_prefetch:
-                stats.hits += 1
-                stats.victim_hits += 1
-            done = tag_done + self.hit_latency  # swap takes an extra access
-            self._fill(line_addr, done, is_write, False)
-            if not self._no_prefetch:
-                self._maybe_prefetch(line_addr, pc, True, done, not is_prefetch)
-            return done
-
-        if not is_prefetch:
-            stats.misses += 1
-
-        inflight = self.mshrs.lookup(line_addr, tag_done)
-        if inflight >= 0:
-            if not is_prefetch:
-                stats.mshr_merges += 1
-            if is_write:
-                self._fill(line_addr, inflight, True, False)
-            return max(tag_done, inflight)
-
-        issue = self.mshrs.allocate(line_addr, tag_done)
-        if self.next_level is not None:
-            done = self.next_level.access_line(line_addr, issue, False, is_prefetch)
-        else:
-            done = issue  # no backing level configured (unit tests)
-        self.mshrs.record(line_addr, done)
-        self._fill(line_addr, done, is_write, is_prefetch)
-        if not self._no_prefetch:
-            self._maybe_prefetch(line_addr, pc, False, tag_done, not is_prefetch)
-        return done
-
-    def _maybe_prefetch(self, line_addr: int, pc: int, hit: bool, now: int, is_demand: bool) -> None:
-        if not is_demand:
-            return
-        candidates = self.prefetcher.observe(line_addr, pc, hit)
-        if not candidates:
-            return
-        for pf_addr in candidates:
-            if pf_addr < 0:
-                continue
-            pf_set = self._sets[self._index(pf_addr)]
-            if pf_set is not None and pf_addr in pf_set:
-                continue
-            if self.mshrs.lookup(pf_addr, now) >= 0:
-                continue
-            if self.mshrs.outstanding >= self.mshrs.entries:
-                break  # never stall demand traffic for prefetches
-            self.stats.prefetches_issued += 1
-            if self.next_level is not None:
-                done = self.next_level.access_line(pf_addr, now, False, True)
-            else:
-                done = now
-            self.mshrs.record(pf_addr, done)
-            self._fill(pf_addr, done, dirty=False, prefetched=True)
-
-    def release(self) -> None:
-        """Unbind ``access_line`` once the cache's run is over.
-
-        Either binding refers back to the cache (the general path is a
-        bound method, the fast closure captures ``_fill``), so a bound
-        cache is a reference cycle that only the cyclic GC can free,
-        together with its sets, lines, MSHRs and policy. Releasing it
-        lets a finished run go by refcount; :meth:`reset` rebinds.
-        """
-        self.access_line = None
 
     # ------------------------------------------------------------------
     def contains(self, line_addr: int) -> bool:
@@ -458,5 +359,5 @@ class Cache:
         if self.victim is not None:
             self.victim.reset()
         self.stats = CacheStats()
-        # Rebind the fast path to the fresh stats/sets/ports objects.
+        # Rebuild the access path around the fresh stats/sets/ports.
         self._install_access_path()

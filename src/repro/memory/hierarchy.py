@@ -70,27 +70,21 @@ class MemoryHierarchy:
             coalescing=mem.store_coalescing,
             forward_latency=mem.store_forward_latency,
         )
-        self._l1d_write = self._make_l1d_write()
-        if effects is None:
-            # The pure-simulator case (every tuning trial): shadow the
-            # effect-aware methods with closures that skip the hook
-            # checks and bind the per-level access functions once.
-            self._bind_fast_paths()
+        self._bind_access_paths()
 
-    def _make_l1d_write(self):
-        l1d = self.l1d
+    def _bind_access_paths(self) -> None:
+        """Install the ``ifetch_line``/``load``/``store`` closures.
 
-        def write(line_addr: int, start: int) -> int:
-            return l1d.access_line(line_addr, start, True, False)
-
-        return write
-
-    def _bind_fast_paths(self) -> None:
-        """Install effect-free ``ifetch``/``load``/``store`` instance shims.
-
-        Timing-identical to the method path with ``effects=None``; the
-        closures only pre-resolve the attribute chains the hot loop would
-        otherwise walk on every dynamic instruction.
+        ``ifetch_line(line_addr, now, is_write=False, is_prefetch=False,
+        pc=0)`` fetches the L1I line the core already derived (all
+        levels share one line size); ``load(addr, pc, now)`` returns the
+        data-ready cycle and ``store(addr, pc, now)`` the cycle the core
+        may move on. The ``effects`` hooks (the board's TLB walks and
+        zero-page service) are bound here once; without them the
+        closures test one captured ``None`` and ``ifetch_line`` *is* the
+        L1I's ``access_line``. The closures capture the caches' access
+        paths and the store buffer, never the hierarchy. Rebound by
+        :meth:`reset`.
         """
         line_size = self.line_size
         l1i_access = self.l1i.access_line
@@ -102,9 +96,19 @@ class MemoryHierarchy:
         sb_entries = sb.entries
         sb_coalescing = sb.coalescing
         sb_expire = sb._expire
+        effects = self.effects
+        if effects is None:
+            ifetch_extra = load_override = load_extra = store_extra = None
+        else:
+            ifetch_extra = effects.ifetch_extra
+            load_override = effects.load_override
+            load_extra = effects.load_extra
+            store_extra = effects.store_extra
 
-        def ifetch(pc: int, now: int) -> int:
-            return l1i_access(pc // line_size, now, False, False, pc)
+        def ifetch_line(line_addr: int, now: int, is_write: bool = False,
+                        is_prefetch: bool = False, pc: int = 0) -> int:
+            done = l1i_access(line_addr, now, is_write, is_prefetch, pc)
+            return done + ifetch_extra(pc, now)
 
         def load(addr: int, pc: int, now: int) -> int:
             line_addr = addr // line_size
@@ -114,118 +118,55 @@ class MemoryHierarchy:
                 forwarded = forward(line_addr, now)
                 if forwarded >= 0:
                     return forwarded
-            return l1d_access(line_addr, now, False, False, pc)
-
-        def store(addr: int, pc: int, now: int) -> int:
-            # Inlined StoreBuffer.push with the L1D write bound directly
-            # (state-identical to push(); spares two calls per store).
-            line_addr = addr // line_size
-            sb.pushes += 1
-            if sb_fifo and sb_fifo[0][1] <= now:
-                sb_expire(now)
-            if sb_coalescing and line_addr in sb_by_line:
-                sb.coalesced += 1
-                return now
-            issue = now
-            if len(sb_fifo) >= sb_entries:
-                # Stall until the oldest buffered store drains.
-                oldest_done = sb_fifo[0][1]
-                sb.full_stalls += 1
-                if oldest_done > issue:
-                    issue = oldest_done
-                sb_expire(issue)
-            last = sb._last_drain_done
-            done = l1d_access(line_addr, issue if issue > last else last,
-                              True, False)
-            sb._last_drain_done = done
-            sb_fifo.append((line_addr, done))
-            sb_by_line[line_addr] = done
-            return issue
-
-        self.ifetch = ifetch
-        # The effect-free instruction fetch IS a plain L1I access; bind
-        # it with no wrapper at all (same signature as access_line).
-        self.ifetch_line = l1i_access
-        self.load = load
-        self.store = store
-
-    # ------------------------------------------------------------------
-    def ifetch(self, pc: int, now: int) -> int:
-        """Fetch the instruction line holding ``pc``; returns ready cycle."""
-        line_addr = pc // self.line_size
-        done = self.l1i.access_line(line_addr, now, is_write=False, pc=pc)
-        if self.effects is not None:
-            done += self.effects.ifetch_extra(pc, now)
-        return done
-
-    def ifetch_line(
-        self,
-        line_addr: int,
-        now: int,
-        is_write: bool = False,
-        is_prefetch: bool = False,
-        pc: int = 0,
-    ) -> int:
-        """Like :meth:`ifetch` with the L1I line address precomputed.
-
-        The core loops already derive the fetch line per instruction;
-        this variant spares the hot path a second division and, in the
-        effect-free case, binds straight to the L1I's ``access_line``
-        (whose signature it mirrors — all arguments are forwarded, so
-        both forms behave identically). All cache levels share one line
-        size, so the caller's line is the L1I's.
-        """
-        done = self.l1i.access_line(line_addr, now, is_write, is_prefetch, pc)
-        if self.effects is not None:
-            done += self.effects.ifetch_extra(pc, now)
-        return done
-
-    def load(self, addr: int, pc: int, now: int) -> int:
-        """Load from ``addr``; returns the data-ready cycle."""
-        line_addr = addr // self.line_size
-        forwarded = self.store_buffer.forward(line_addr, now)
-        if forwarded >= 0:
-            return forwarded
-        if self.effects is not None:
-            override = self.effects.load_override(addr, now)
+            if load_override is None:
+                return l1d_access(line_addr, now, False, False, pc)
+            override = load_override(addr, now)
             if override >= 0:
                 # Zero-page service: the OS backs the untouched page with
                 # the shared zero page, so the access behaves like a hit.
                 return now + override
-        done = self.l1d.access_line(line_addr, now, is_write=False, pc=pc)
-        if self.effects is not None:
-            done += self.effects.load_extra(addr, now)
-        return done
+            return l1d_access(line_addr, now, False, False, pc) + load_extra(addr, now)
 
-    def store(self, addr: int, pc: int, now: int) -> int:
-        """Issue a store; returns the cycle the core may move on."""
-        line_addr = addr // self.line_size
-        issue = self.store_buffer.push(line_addr, now, self._l1d_write)
-        if self.effects is not None:
-            issue += self.effects.store_extra(addr, now)
-        return issue
+        def store(addr: int, pc: int, now: int) -> int:
+            # The store buffer's in-order drain, with the L1D write bound
+            # directly.
+            line_addr = addr // line_size
+            sb.pushes += 1
+            if sb_fifo and sb_fifo[0][1] <= now:
+                sb_expire(now)
+            issue = now
+            if sb_coalescing and line_addr in sb_by_line:
+                sb.coalesced += 1
+            else:
+                if len(sb_fifo) >= sb_entries:
+                    # Stall until the oldest buffered store drains.
+                    oldest_done = sb_fifo[0][1]
+                    sb.full_stalls += 1
+                    if oldest_done > issue:
+                        issue = oldest_done
+                    sb_expire(issue)
+                last = sb._last_drain_done
+                done = l1d_access(line_addr, issue if issue > last else last,
+                                  True, False)
+                sb._last_drain_done = done
+                sb_fifo.append((line_addr, done))
+                sb_by_line[line_addr] = done
+            if store_extra is not None:
+                issue += store_extra(addr, now)
+            return issue
 
-    # ------------------------------------------------------------------
-    def release(self) -> None:
-        """Break the caches' self-references once the run is over.
-
-        After this the hierarchy serves no further access until
-        :meth:`reset`; its state is freed by refcount when dropped.
-        """
-        self.l1i.release()
-        self.l1d.release()
-        self.l2.release()
+        self.ifetch_line = l1i_access if ifetch_extra is None else ifetch_line
+        self.load = load
+        self.store = store
 
     def reset(self) -> None:
-        # Downstream first: each cache's reset rebinds its fast access
-        # path, and the L1 paths capture the L2's current one.
+        # Downstream first: each cache's reset rebuilds its access path,
+        # and the L1 paths capture the L2's current one.
         self.dram.reset()
         self.l2.reset()
         self.l1i.reset()
         self.l1d.reset()
         self.store_buffer.reset()
-        self._l1d_write = self._make_l1d_write()
         if self.effects is not None:
             self.effects.reset()
-        else:
-            self._bind_fast_paths()
+        self._bind_access_paths()

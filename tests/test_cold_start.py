@@ -6,6 +6,8 @@ race statistics are stdlib, see :mod:`repro.tuning.stats`). A finished
 simulation must also free its state by refcount: a reference cycle
 through a run's caches would keep sets, lines and MSHRs alive until
 the cyclic GC runs, and its pauses land in the middle of fleet work.
+The access-path closures therefore never capture their cache or
+hierarchy.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ import pytest
 
 from repro.core.config import cortex_a53_public_config, cortex_a72_public_config
 from repro.hardware.board import FireflyRK3399
+from repro.hardware.effects import HardwareEffects, HardwareEffectsConfig
+from repro.memory.cache import Cache
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.simulator.simulator import SnipeSim
 from repro.validation.steps import param_space_for
 from repro.workloads.microbench import MICROBENCHMARKS
@@ -50,7 +55,7 @@ def test_entry_modules_import_without_numpy_or_scipy():
 
 def _sampled_a72_config(seed: int):
     """One stage-2 tuning candidate: prefetchers, victim buffers and
-    non-LRU policies send its caches down the general access path."""
+    non-LRU policies, not the public config's plain caches."""
     rng = random.Random(seed)
     assignment = {p.name: rng.choice(p.values) for p in param_space_for("ooo", 2)}
     return cortex_a72_public_config().with_updates(assignment)
@@ -110,3 +115,36 @@ def test_caches_die_with_their_core(trace, monkeypatch, config):
     assert stats.instructions > 0
     assert len(caches) == 3
     assert alive == [], f"caches kept alive after the run: {alive}"
+
+
+def _captured(func, seen=None):
+    """Every object reachable through ``func``'s closure cells, following
+    nested closures (bound methods are reported, not entered)."""
+    seen = set() if seen is None else seen
+    found = []
+    for cell in getattr(func, "__closure__", None) or ():
+        value = cell.cell_contents
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        found.append(value)
+        if callable(value) and getattr(value, "__closure__", None):
+            found.extend(_captured(value, seen))
+    return found
+
+
+@pytest.mark.parametrize("effects", [False, True], ids=["sim", "board"])
+@pytest.mark.parametrize("seed", [3, 1009])
+def test_access_paths_capture_no_cache_or_hierarchy(effects, seed):
+    """What makes a finished run free by refcount: no access path
+    refers back to the object that holds it."""
+    config = _sampled_a72_config(seed)
+    hooks = HardwareEffects(HardwareEffectsConfig()) if effects else None
+    h = MemoryHierarchy(config, effects=hooks)
+    paths = [h.l1i.access_line, h.l1d.access_line, h.l2.access_line,
+             h.ifetch_line, h.load, h.store]
+    for path in paths:
+        owners = [type(obj).__name__ for obj in [path, *_captured(path)]
+                  if isinstance(obj, (Cache, MemoryHierarchy))
+                  or isinstance(getattr(obj, "__self__", None), (Cache, MemoryHierarchy))]
+        assert owners == [], f"{path.__qualname__} captures {owners}"

@@ -39,7 +39,7 @@ class TestAccessPaths:
         assert hierarchy.dram.accesses == 1
 
     def test_ifetch_uses_l1i(self, hierarchy):
-        hierarchy.ifetch(0x1000, 0)
+        hierarchy.ifetch_line(0x1000 // hierarchy.line_size, 0, pc=0x1000)
         assert hierarchy.l1i.stats.accesses == 1
         assert hierarchy.l1d.stats.accesses == 0
 
