@@ -14,10 +14,12 @@ import heapq
 class MSHRFile:
     """Tracks outstanding line fills as (completion_time, line_addr).
 
-    ``allocate`` returns the time at which the new miss may *start* its
-    downstream access: immediately if a register is free, otherwise when
-    the earliest outstanding fill completes. ``lookup`` implements miss
-    merging — a second miss to an in-flight line shares its completion.
+    The state of one cache's registers: a min-heap of fill completions
+    and a map from each in-flight line to its completion. The cache's
+    access path (:meth:`repro.memory.cache.Cache._install_access_path`)
+    reads and updates both directly: a miss to an in-flight line merges
+    into its fill, and a miss with every register busy waits for the
+    earliest completion. :meth:`_expire` retires finished fills.
     """
 
     __slots__ = ("entries", "_heap", "_inflight")
@@ -41,34 +43,7 @@ class MSHRFile:
             if done is not None and done <= now:
                 del inflight[line]
 
-    def lookup(self, line_addr: int, now: int) -> int:
-        """Completion time of an in-flight fill of ``line_addr``, or -1."""
-        inflight = self._inflight
-        if not inflight:
-            return -1
-        self._expire(now)
-        return inflight.get(line_addr, -1)
-
-    def allocate(self, line_addr: int, now: int) -> int:
-        """Reserve a register; returns the earliest cycle the miss may issue."""
-        self._expire(now)
-        if len(self._inflight) < self.entries:
-            return now
-        # Full: wait for the earliest fill to complete.
-        earliest = self._heap[0][0]
-        self._expire(earliest)
-        return max(now, earliest)
-
-    def record(self, line_addr: int, completion: int) -> None:
-        """Register the fill completion time of an allocated miss."""
-        self._inflight[line_addr] = completion
-        heapq.heappush(self._heap, (completion, line_addr))
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._inflight)
-
     def reset(self) -> None:
-        # In place: cache fast-path closures alias these containers.
+        # In place: the cache's access-path closure aliases these.
         self._heap.clear()
         self._inflight.clear()

@@ -16,9 +16,11 @@ from collections import deque
 class StoreBuffer:
     """In-order draining store buffer.
 
-    ``push`` returns the cycle at which the store can occupy a buffer slot
-    (its visible issue stall); the actual L1D write is scheduled through
-    the ``write`` callable handed in by the hierarchy.
+    The state of the buffer and its counters. The hierarchy's ``store``
+    closure (:meth:`repro.memory.hierarchy.MemoryHierarchy._bind_access_paths`)
+    buffers each store and drains it to the L1D; a full buffer stalls
+    the store until the oldest entry drains. :meth:`forward` is the
+    loads' snoop.
     """
 
     __slots__ = ("entries", "coalescing", "forward_latency", "_fifo", "_by_line",
@@ -52,38 +54,6 @@ class StoreBuffer:
             if by_line.get(line_addr) == done:
                 del by_line[line_addr]
 
-    def push(self, line_addr: int, now: int, write) -> int:
-        """Buffer a store; returns the cycle the core may proceed.
-
-        ``write(line_addr, start_cycle) -> completion_cycle`` performs the
-        L1D write access when the store drains.
-        """
-        self.pushes += 1
-        fifo = self._fifo
-        by_line = self._by_line
-        if fifo and fifo[0][1] <= now:
-            self._expire(now)
-
-        if self.coalescing and line_addr in by_line:
-            self.coalesced += 1
-            return now
-
-        issue = now
-        if len(fifo) >= self.entries:
-            # Stall until the oldest buffered store drains.
-            oldest_done = fifo[0][1]
-            self.full_stalls += 1
-            if oldest_done > issue:
-                issue = oldest_done
-            self._expire(issue)
-
-        last = self._last_drain_done
-        done = write(line_addr, issue if issue > last else last)
-        self._last_drain_done = done
-        fifo.append((line_addr, done))
-        by_line[line_addr] = done
-        return issue
-
     def forward(self, line_addr: int, now: int) -> int:
         """Forwarding snoop for a load: cycle data is available, or -1."""
         if not self._by_line:
@@ -102,7 +72,7 @@ class StoreBuffer:
         return len(self._fifo)
 
     def reset(self) -> None:
-        # In place: the hierarchy fast-path closure aliases these.
+        # In place: the hierarchy's store closure aliases these.
         self._fifo.clear()
         self._by_line.clear()
         self._last_drain_done = 0

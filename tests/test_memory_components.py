@@ -1,34 +1,66 @@
-"""MSHR file, store buffer, DRAM and victim cache units."""
+"""MSHR file, store buffer, DRAM and victim cache units.
+
+The MSHR file and the store buffer hold state that the cache's and the
+hierarchy's access paths update directly, so their behaviour is checked
+through those paths.
+"""
 
 import pytest
 
+from repro.core.config import cortex_a53_public_config
+from repro.memory.cache import Cache
 from repro.memory.dram import DramModel
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.mshr import MSHRFile
+from repro.memory.prefetcher import NextLinePrefetcher
 from repro.memory.storebuffer import StoreBuffer
 from repro.memory.victim import VictimCache
 
 
-class TestMSHRFile:
-    def test_allocate_free_slot_immediate(self):
-        mshrs = MSHRFile(2)
-        assert mshrs.allocate(1, 10) == 10
+def _cache(**kwargs) -> Cache:
+    """1 KiB, 2-way, 64 B lines: 8 sets, so lines 3, 11 and 19 share one."""
+    defaults = dict(name="L1", size=1024, assoc=2, line_size=64,
+                    hit_latency=2, mshr_entries=4)
+    defaults.update(kwargs)
+    return Cache(**defaults)
 
-    def test_allocate_blocks_when_full(self):
-        mshrs = MSHRFile(1)
-        mshrs.record(1, completion=100)
-        assert mshrs.allocate(2, now=10) == 100
+
+class TestMSHRFile:
+    """Register behaviour, driven through the cache that owns the file."""
+
+    def test_allocate_free_slot_immediate(self):
+        cache = _cache(mshr_entries=2)
+        # No backing level: a miss completes when it may issue, which
+        # with a free register is right after the tag check.
+        assert cache.access_line(1, 10) == 10 + 1
 
     def test_lookup_finds_inflight(self):
-        mshrs = MSHRFile(4)
-        mshrs.record(7, completion=50)
-        assert mshrs.lookup(7, now=10) == 50
-        assert mshrs.lookup(7, now=60) == -1  # expired
+        dram = DramModel(latency=100, bandwidth=16)
+        cache = _cache(next_level=dram)
+        first = cache.access_line(3, 0)
+        cache.access_line(11, 1)
+        cache.access_line(19, 2)  # evicts line 3 while its fill is out
+        assert not cache.contains(3)
+        fills = dram.accesses
+        assert cache.access_line(3, 3) == first  # merged into the fill
+        assert dram.accesses == fills
+        assert cache.stats.mshr_merges == 1
+        cache.access_line(11, first + 10)
+        cache.access_line(19, first + 20)  # evicts line 3 again
+        again = cache.access_line(3, first + 30)  # fill long completed
+        assert dram.accesses == fills + 1 and again > first + 30
+        assert cache.stats.mshr_merges == 1
 
     def test_outstanding_count(self):
-        mshrs = MSHRFile(4)
-        mshrs.record(1, 100)
-        mshrs.record(2, 200)
-        assert mshrs.outstanding == 2
+        """Prefetches stop once outstanding fills fill the register file."""
+        narrow = _cache(next_level=DramModel(latency=100), mshr_entries=1,
+                        prefetcher=NextLinePrefetcher(degree=2))
+        narrow.access_line(0, 0)  # the demand miss holds the only register
+        assert narrow.stats.prefetches_issued == 0
+        wide = _cache(next_level=DramModel(latency=100), mshr_entries=4,
+                      prefetcher=NextLinePrefetcher(degree=2))
+        wide.access_line(0, 0)
+        assert wide.stats.prefetches_issued == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,45 +68,39 @@ class TestMSHRFile:
 
 
 class TestStoreBuffer:
-    @staticmethod
-    def _write(latency=20):
-        def write(line, start):
-            return start + latency
-        return write
+    """Buffer behaviour, driven through the hierarchy's ``store``/``load``."""
 
-    def test_push_without_pressure_is_free(self):
-        sb = StoreBuffer(entries=4)
-        assert sb.push(1, now=10, write=self._write()) == 10
+    @staticmethod
+    def _hierarchy(**memsys):
+        config = cortex_a53_public_config().with_updates(
+            {f"memsys.{key}": value for key, value in memsys.items()})
+        return MemoryHierarchy(config)
 
     def test_full_buffer_stalls_until_drain(self):
-        sb = StoreBuffer(entries=2)
-        write = self._write(latency=50)
-        sb.push(1, 0, write)   # drains at 50
-        sb.push(2, 0, write)   # drains at 100
-        issue = sb.push(3, 0, write)
-        assert issue == 50
-        assert sb.full_stalls == 1
+        h = self._hierarchy(store_buffer_entries=2)
+        assert h.store(0x40_0000, pc=0x1000, now=0) == 0
+        assert h.store(0x50_0000, pc=0x1004, now=0) == 0
+        oldest = h.store_buffer._fifo[0][1]
+        assert oldest > 100  # the first drain write missed to DRAM
+        assert h.store(0x60_0000, pc=0x1008, now=0) == oldest
+        assert h.store_buffer.full_stalls == 1
+        assert h.store_buffer.occupancy == 2
 
     def test_coalescing_merges_same_line(self):
-        sb = StoreBuffer(entries=2, coalescing=True)
-        write = self._write(latency=50)
-        sb.push(1, 0, write)
-        issue = sb.push(1, 1, write)
-        assert issue == 1
-        assert sb.coalesced == 1
-        assert sb.occupancy == 1
-
-    def test_forwarding_hits_buffered_line(self):
-        sb = StoreBuffer(entries=4, forward_latency=1)
-        sb.push(9, 0, self._write(latency=100))
-        assert sb.forward(9, now=5) == 6
-        assert sb.forward(8, now=5) == -1
-        assert sb.forwards == 1
+        h = self._hierarchy(store_coalescing=True)
+        h.store(0x40_0000, pc=0x1000, now=0)
+        assert h.store(0x40_0008, pc=0x1004, now=1) == 1
+        assert h.store_buffer.coalesced == 1
+        assert h.store_buffer.occupancy == 1
+        assert h.l1d.stats.accesses == 1  # one drain write
 
     def test_forwarding_misses_after_drain(self):
-        sb = StoreBuffer(entries=4)
-        sb.push(9, 0, self._write(latency=10))
-        assert sb.forward(9, now=50) == -1
+        h = self._hierarchy(store_forward_latency=1)
+        h.store(0x40_0000, pc=0x1000, now=0)
+        assert h.load(0x50_0000, pc=0x1004, now=1) > 100  # another line
+        drained = h.load(0x40_0000, pc=0x1008, now=100_000)
+        assert drained - 100_000 > 1  # served by the L1D, not the buffer
+        assert h.store_buffer.forwards == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
