@@ -53,6 +53,8 @@ from repro.service.protocol import (
     COMPRESS_THRESHOLD,
     WIRE_HEADER,
     WIRE_VERSION,
+    BodyTooLarge,
+    inflate,
     redact,
     resolve_token,
 )
@@ -246,7 +248,12 @@ class ServiceClient:
                 status = resp.status
                 encoding = (resp.getheader("Content-Encoding") or "").lower()
                 if encoding == COMPRESS_ENCODING:
-                    raw = zlib.decompress(raw)
+                    try:
+                        raw = inflate(raw)
+                    except (BodyTooLarge, zlib.error) as exc:
+                        raise ServiceError(
+                            f"{method} /{endpoint} failed: undecodable "
+                            f"response body: {exc}", status=status) from None
                     self._count(compressed_bodies=1)
                 if status == 200:
                     return json.loads(raw)

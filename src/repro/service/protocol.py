@@ -19,8 +19,8 @@ Everything both sides must agree on lives here, so the server
 - **Bodies.** JSON both ways. Success is ``200`` with the endpoint's
   payload; errors are ``{"error": "..."}`` with a meaningful status
   code (400 malformed, 401 unauthorised, 404 unknown endpoint,
-  426 version skew, 429 backpressure with ``Retry-After``, 500 with
-  the exception text).
+  413 body too large, 426 version skew, 429 backpressure with
+  ``Retry-After``, 500 with the exception text).
 - **Batching.** ``queue/enqueue`` and ``queue/complete`` accept lists,
   so a driver submits a whole race step in one request and a worker
   can acknowledge several tasks per round trip; ``queue/claim`` takes
@@ -35,6 +35,13 @@ Everything both sides must agree on lives here, so the server
   ``Content-Encoding: deflate``. Clients advertise support via
   ``Accept-Encoding``; the server only compresses responses for
   clients that did.
+- **Limits.** No body, declared or inflated, exceeds :data:`MAX_BODY`
+  bytes: the server answers a larger ``Content-Length`` with ``413``
+  before reading it, and both sides inflate through :func:`inflate`,
+  which stops at the cap. The server authenticates on headers alone,
+  before it reads a body, and any error it sends while a body is still
+  unread closes the connection (the unread bytes must never be parsed
+  as the next request).
 
 The endpoint catalogue mirrors the fabric queue API 1:1 (see
 :class:`~repro.fabric.api.TaskQueue`) plus the store backend's
@@ -45,6 +52,7 @@ without any local database file.
 from __future__ import annotations
 
 import os
+import zlib
 
 #: Bump when request/response shapes change incompatibly. Checked per
 #: request (header) and at handshake. Version 2: batched claim
@@ -78,6 +86,18 @@ COMPRESS_THRESHOLD = 1024
 #: The one body encoding both sides speak (zlib with header).
 COMPRESS_ENCODING = "deflate"
 
+#: Largest request or response body either side accepts, in bytes,
+#: before or after inflating. The largest body the bundled ``sweep-http``
+#: campaign benchmark sends is about 0.84 MB inflated (a batched
+#: request; its largest response is about 0.39 MB), so the cap leaves a
+#: twenty-fold margin.
+MAX_BODY = 16 << 20
+
+
+class BodyTooLarge(ValueError):
+    """A body that inflates past :data:`MAX_BODY`."""
+
+
 #: Hard server-side cap on ``queue/claim``'s long-poll ``wait``,
 #: seconds. Keeps parked claim threads bounded and lets clients size
 #: their socket timeout as ``wait + margin`` safely.
@@ -107,6 +127,22 @@ def redact(text, token: str):
     if not token or not text:
         return text
     return str(text).replace(token, REDACTED)
+
+
+def inflate(raw: bytes) -> bytes:
+    """Inflate a ``deflate`` body, never producing more than :data:`MAX_BODY`.
+
+    Raises :class:`BodyTooLarge` when the output would exceed the cap
+    (a deflate bomb is refused after at most ``MAX_BODY + 1`` bytes of
+    output), and ``zlib.error`` for a corrupt or truncated stream.
+    """
+    inflater = zlib.decompressobj()
+    body = inflater.decompress(raw, MAX_BODY + 1)
+    if len(body) > MAX_BODY:
+        raise BodyTooLarge(f"body inflates past the {MAX_BODY}-byte limit")
+    if not inflater.eof:
+        raise zlib.error("incomplete or truncated stream")
+    return body
 
 
 def is_url(spec) -> bool:

@@ -55,10 +55,13 @@ from repro.service.protocol import (
     API_PREFIX,
     COMPRESS_ENCODING,
     COMPRESS_THRESHOLD,
+    MAX_BODY,
     MAX_CLAIM_WAIT,
     RETRY_AFTER_SECONDS,
     WIRE_HEADER,
     WIRE_VERSION,
+    BodyTooLarge,
+    inflate,
     redact,
     resolve_token,
 )
@@ -176,19 +179,25 @@ class ExperimentService:
     # Request plumbing
     # ------------------------------------------------------------------
     def _handle(self, handler, method: str) -> None:
-        """Auth, version-check and route one request; send the reply."""
+        """Auth, version-check and route one request; send the reply.
+
+        Everything that can refuse a request on its headers alone (the
+        length, the token, the path) does so before the body is read,
+        so an unauthenticated client cannot make a handler buffer
+        anything. Such a reply closes the connection: on keep-alive the
+        unread body would otherwise be parsed as the next request.
+        """
+        unread = True
         try:
+            length = self._content_length(handler)
+            self._check_auth(handler)
             path = handler.path.split("?", 1)[0].rstrip("/")
             if not path.startswith(API_PREFIX):
                 raise _ServiceError(404, f"unknown path {path!r}; API lives "
                                          f"under {API_PREFIX}/")
             route = path[len(API_PREFIX):].strip("/")
-            # Drain the request body before any reply can be sent:
-            # persistent (keep-alive) clients would otherwise find the
-            # unread body bytes where the next request line should be.
-            length = self._content_length(handler)
             raw = handler.rfile.read(length) if length else b""
-            self._check_auth(handler)
+            unread = False
             if route != "handshake":
                 self._check_version(handler)
             func = self._routes.get((method, route))
@@ -197,10 +206,14 @@ class ExperimentService:
             payload = self._read_body(handler, raw) if method == "POST" else {}
             self._reply(handler, 200, func(payload))
         except _ServiceError as exc:
-            self._reply(handler, exc.status, {"error": str(exc)}, exc.headers)
+            headers = exc.headers
+            if unread:
+                headers = {**(headers or {}), "Connection": "close"}
+            self._reply(handler, exc.status, {"error": str(exc)}, headers)
         except Exception as exc:  # noqa: BLE001 — one request, one reply
             message = redact(f"{type(exc).__name__}: {exc}", self.token)
-            self._reply(handler, 500, {"error": message})
+            self._reply(handler, 500, {"error": message},
+                        {"Connection": "close"} if unread else None)
 
     @staticmethod
     def _content_length(handler) -> int:
@@ -208,14 +221,17 @@ class ExperimentService:
 
         A length that is not a plain decimal count would make the read
         fail or, when negative, block until the peer hangs up. It gets a
-        400 that closes the connection, since where the body ends is
-        then unknowable.
+        400, and a length above :data:`MAX_BODY` a 413; both close the
+        connection, since the body is never read.
         """
         text = (handler.headers.get("Content-Length") or "0").strip()
         if not (text.isascii() and text.isdigit()):
-            raise _ServiceError(400, f"malformed Content-Length {text!r}",
-                                {"Connection": "close"})
-        return int(text)
+            raise _ServiceError(400, f"malformed Content-Length {text!r}")
+        length = int(text)
+        if length > MAX_BODY:
+            raise _ServiceError(413, f"body of {length} bytes exceeds the "
+                                     f"{MAX_BODY}-byte limit")
+        return length
 
     def _check_auth(self, handler) -> None:
         header = handler.headers.get("Authorization", "")
@@ -243,7 +259,9 @@ class ExperimentService:
         encoding = (handler.headers.get("Content-Encoding") or "").strip().lower()
         if encoding == COMPRESS_ENCODING:
             try:
-                raw = zlib.decompress(raw)
+                raw = inflate(raw)
+            except BodyTooLarge as exc:
+                raise _ServiceError(413, str(exc)) from None
             except zlib.error as exc:
                 raise _ServiceError(400, f"undecodable deflate body: {exc}") \
                     from None

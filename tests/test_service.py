@@ -6,12 +6,16 @@ because the wire behaviours under test (status codes, headers, retry
 timing) only exist on a real socket.
 """
 
+import http.client
+import http.server
 import json
+import re
 import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+import zlib
 
 import pytest
 
@@ -24,6 +28,7 @@ from repro.service.client import (
 )
 from repro.service.protocol import (
     API_PREFIX,
+    MAX_BODY,
     TOKEN_ENV,
     WIRE_HEADER,
     WIRE_VERSION,
@@ -636,3 +641,125 @@ class TestBadRequests:
         # The server is still serving well-formed requests.
         status, card = _raw_request(service.url)
         assert status == 200 and card["service"] == "repro-serve"
+
+
+def _replies_until_eof(url, request: bytes, timeout=2.0):
+    """Send raw ``request`` bytes; returns every reply received, whether
+    the server then closed the connection within ``timeout`` seconds of
+    quiet, and how long the exchange took."""
+    host, port = url[len("http://"):].rsplit(":", 1)
+    start = time.monotonic()
+    reply, closed = b"", False
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(request)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    closed = True
+                    break
+                reply += chunk
+        except socket.timeout:
+            pass  # still open: the server is waiting for another request
+    return reply, closed, time.monotonic() - start
+
+
+def _status_codes(reply: bytes) -> list:
+    """Status of every reply in ``reply`` (a reply may follow the
+    previous one's body on the same line)."""
+    return [int(code) for code in re.findall(rb"HTTP/1\.[01] (\d{3}) ", reply)]
+
+
+def _deflate_bomb(size=64 << 20) -> bytes:
+    """``size`` zero bytes, deflated (about a thousandth of the size)."""
+    deflater = zlib.compressobj()
+    chunk = bytes(1 << 20)
+    return b"".join(deflater.compress(chunk) for _ in range(size >> 20)) + deflater.flush()
+
+
+class TestBodyFraming:
+    """No reply goes out while a request body is unread and the
+    connection stays open, and no body exceeds ``MAX_BODY``."""
+
+    @pytest.mark.parametrize("token", [TOKEN, None], ids=["authed", "anonymous"])
+    def test_unread_body_is_never_parsed_as_a_request(self, service, token):
+        smuggled = (f"GET {API_PREFIX}/handshake HTTP/1.1\r\n"
+                    f"Host: x\r\n\r\n").encode()
+        auth = f"Authorization: Bearer {token}\r\n" if token else ""
+        request = (f"POST /nope HTTP/1.1\r\nHost: x\r\n{auth}"
+                   f"Content-Length: {len(smuggled)}\r\n\r\n").encode() + smuggled
+        reply, closed, _elapsed = _replies_until_eof(service.url, request)
+        assert _status_codes(reply) == [404 if token else 401], reply
+        assert closed
+
+    def test_anonymous_large_declared_body_is_refused_unread(self, service):
+        request = (f"POST {API_PREFIX}/queue/states HTTP/1.1\r\nHost: x\r\n"
+                   f"Content-Length: {MAX_BODY}\r\n\r\n").encode()
+        reply, closed, elapsed = _replies_until_eof(service.url, request)
+        assert _status_codes(reply) == [401], reply
+        assert closed and elapsed < 1.0
+
+    def test_declared_body_above_limit_is_413_unread(self, service):
+        request = (f"POST {API_PREFIX}/queue/states HTTP/1.1\r\nHost: x\r\n"
+                   f"Authorization: Bearer {TOKEN}\r\n"
+                   f"Content-Length: {MAX_BODY + 1}\r\n\r\n").encode()
+        reply, closed, elapsed = _replies_until_eof(service.url, request)
+        assert _status_codes(reply) == [413], reply
+        assert closed and elapsed < 1.0
+
+    def test_keep_alive_serves_consecutive_requests(self, service):
+        host, port = service.url[len("http://"):].rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        headers = {"Authorization": f"Bearer {TOKEN}",
+                   WIRE_HEADER: str(WIRE_VERSION)}
+        try:
+            conn.request("GET", f"{API_PREFIX}/handshake", headers=headers)
+            first = conn.getresponse()
+            assert first.status == 200 and json.loads(first.read())["service"]
+            sock = conn.sock
+            conn.request("POST", f"{API_PREFIX}/queue/states",
+                         body=json.dumps({"keys": []}), headers=headers)
+            second = conn.getresponse()
+            assert second.status == 200, second.read()
+            second.read()
+            assert conn.sock is sock  # one connection served both
+        finally:
+            conn.close()
+
+    def test_deflate_bomb_request_is_413(self, service):
+        request = urllib.request.Request(
+            f"{service.url}{API_PREFIX}/queue/states", data=_deflate_bomb(),
+            method="POST",
+            headers={"Authorization": f"Bearer {TOKEN}",
+                     WIRE_HEADER: str(WIRE_VERSION),
+                     "Content-Encoding": "deflate"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 413
+
+    def test_deflate_bomb_response_is_a_service_error(self):
+        bomb = _deflate_bomb()
+
+        class BombHandler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802 — http.server API
+                self.send_response(200)
+                self.send_header("Content-Encoding", "deflate")
+                self.send_header("Content-Length", str(len(bomb)))
+                self.end_headers()
+                self.wfile.write(bomb)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), BombHandler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}",
+                                   token=TOKEN, max_retries=0)
+            with pytest.raises(ServiceError, match="limit"):
+                client.handshake()
+        finally:
+            server.shutdown()
+            server.server_close()
