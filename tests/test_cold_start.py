@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import gc
 import os
-import random
 import subprocess
 import sys
 import weakref
 
 import pytest
 
-from repro.core.config import cortex_a53_public_config, cortex_a72_public_config
+from repro.bench.scenarios import sampled_config
+from repro.core.config import cortex_a53_public_config
 from repro.hardware.board import FireflyRK3399
 from repro.hardware.effects import HardwareEffects, HardwareEffectsConfig
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.simulator.simulator import SnipeSim
-from repro.validation.steps import param_space_for
 from repro.workloads.microbench import MICROBENCHMARKS
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
@@ -56,9 +55,7 @@ def test_entry_modules_import_without_numpy_or_scipy():
 def _sampled_a72_config(seed: int):
     """One stage-2 tuning candidate: prefetchers, victim buffers and
     non-LRU policies, not the public config's plain caches."""
-    rng = random.Random(seed)
-    assignment = {p.name: rng.choice(p.values) for p in param_space_for("ooo", 2)}
-    return cortex_a72_public_config().with_updates(assignment)
+    return sampled_config("a72", seed)
 
 
 @pytest.fixture(scope="module")
