@@ -51,6 +51,7 @@ from repro.service.protocol import (
     API_PREFIX,
     COMPRESS_ENCODING,
     COMPRESS_THRESHOLD,
+    MAX_BODY,
     WIRE_HEADER,
     WIRE_VERSION,
     BodyTooLarge,
@@ -243,7 +244,12 @@ class ServiceClient:
                 conn, fresh = self._connection(effective_timeout)
                 conn.request(method, path, body=body or None, headers=headers)
                 resp = conn.getresponse()
-                raw = resp.read()
+                raw = resp.read(MAX_BODY + 1)
+                if len(raw) > MAX_BODY:
+                    self._drop_connection()  # the rest is still unread
+                    raise ServiceError(
+                        f"{method} /{endpoint} failed: response body exceeds "
+                        f"the {MAX_BODY}-byte limit", status=resp.status)
                 self._count(requests=1, bytes_out=len(body), bytes_in=len(raw))
                 status = resp.status
                 encoding = (resp.getheader("Content-Encoding") or "").lower()

@@ -37,8 +37,9 @@ Everything both sides must agree on lives here, so the server
   clients that did.
 - **Limits.** No body, declared or inflated, exceeds :data:`MAX_BODY`
   bytes: the server answers a larger ``Content-Length`` with ``413``
-  before reading it, and both sides inflate through :func:`inflate`,
-  which stops at the cap. The server authenticates on headers alone,
+  before reading it, the client stops reading a response at the cap,
+  and both sides inflate through :func:`inflate`, which stops there
+  too. The server authenticates on headers alone,
   before it reads a body, and any error it sends while a body is still
   unread closes the connection (the unread bytes must never be parsed
   as the next request).

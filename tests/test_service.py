@@ -738,21 +738,26 @@ class TestBodyFraming:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 413
 
-    def test_deflate_bomb_response_is_a_service_error(self):
-        bomb = _deflate_bomb()
+    @pytest.mark.parametrize("encoding", ["deflate", None], ids=["bomb", "raw"])
+    def test_oversized_response_is_a_service_error(self, encoding):
+        body = _deflate_bomb() if encoding else b" " * (MAX_BODY + 1)
 
-        class BombHandler(http.server.BaseHTTPRequestHandler):
+        class BigHandler(http.server.BaseHTTPRequestHandler):
             def do_GET(self):  # noqa: N802 — http.server API
                 self.send_response(200)
-                self.send_header("Content-Encoding", "deflate")
-                self.send_header("Content-Length", str(len(bomb)))
+                if encoding:
+                    self.send_header("Content-Encoding", encoding)
+                self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
-                self.wfile.write(bomb)
+                try:
+                    self.wfile.write(body)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client stopped reading at the limit
 
             def log_message(self, *args):
                 pass
 
-        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), BombHandler)
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), BigHandler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
