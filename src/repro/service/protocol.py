@@ -39,10 +39,10 @@ Everything both sides must agree on lives here, so the server
   bytes: the server answers a larger ``Content-Length`` with ``413``
   before reading it, the client stops reading a response at the cap,
   and both sides inflate through :func:`inflate`, which stops there
-  too. The server authenticates on headers alone,
-  before it reads a body, and any error it sends while a body is still
-  unread closes the connection (the unread bytes must never be parsed
-  as the next request).
+  too. The server authenticates on headers alone, before it reads a
+  body, and any error it sends while a body is still unread closes
+  the connection (the unread bytes must never be parsed as the next
+  request).
 
 The endpoint catalogue mirrors the fabric queue API 1:1 (see
 :class:`~repro.fabric.api.TaskQueue`) plus the store backend's
