@@ -16,8 +16,16 @@ It owns:
   decoder)`` covering simulator runs *and* hardware ground-truth
   measurements;
 - a batch API (:meth:`simulate_batch` / :meth:`evaluate_batch`) with
-  pluggable executors — serial, or a process pool selected by ``jobs``;
+  pluggable executors — serial, a process pool selected by ``jobs``, or
+  the distributed fabric;
 - unified trial telemetry (requested vs unique trials, cache hits).
+
+Every batch takes one path: the cache/dedup prologue, one executor
+``submit``, then polls that memoise, count and write back what arrives.
+The non-blocking entry points (:meth:`submit_batch` /
+:meth:`poll_batch`, the async race's path) hand the polling to the
+caller; :meth:`simulate_batch` drains the same polls itself through
+:func:`~repro.engine.executors.drain`.
 
 Parallel and serial execution produce bit-identical results: simulation
 is pure and all randomness stays in the drivers.
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.executors import make_executor
+from repro.engine.executors import drain, make_executor
 from repro.engine.keys import hw_key, sim_key
 from repro.engine.tracestore import TraceStore
 from repro.isa.decoder import Decoder
@@ -99,8 +107,7 @@ class BatchTicket:
         self.resolved: set = set()       # keys whose stats arrived
         self.cancelled: set = set()      # withdrawn pair indices
         self.cancelled_slots: set = set()
-        self.handle = None               # executor handle (non-blocking)
-        self.exec_groups = None          # run()-fallback stash
+        self.handle = None               # executor handle
 
     def done(self) -> bool:
         """True when nothing more can arrive from a poll."""
@@ -136,8 +143,9 @@ class EvaluationEngine:
         ``"process"`` or ``"fabric"`` force a kind (``"fabric"``
         dispatches batches to the distributed queue in the SQLite
         ``store`` file, executed by ``repro worker`` processes); a
-        pre-built executor object (anything with ``run``/``close``) is
-        used as-is.
+        pre-built executor object speaking the executor protocol
+        (``submit``/``poll``/``cancel``/``close``, see
+        :mod:`repro.engine.executors`) is used as-is.
     overrides:
         Optional shared per-workload kwargs dict (e.g. step-5 fixes);
         mutating it takes effect on the next trial.
@@ -175,8 +183,8 @@ class EvaluationEngine:
         self.jobs = max(1, int(jobs))
         self.store = store
         if executor is not None and not isinstance(executor, str):
-            # A pre-built executor object (duck-typed: run/close) — the
-            # way tests and drivers tune fabric poll/timeout knobs.
+            # A pre-built executor object — the way tests and drivers
+            # tune fabric poll/timeout knobs.
             self._executor = executor
         else:
             self._executor = make_executor(self.jobs, executor, store=store)
@@ -320,31 +328,14 @@ class EvaluationEngine:
         """Simulate ``[(config, workload), ...]``; returns aligned stats.
 
         Cached results are returned directly; duplicate uncached pairs
-        within the batch run once; the remainder is dispatched to the
-        executor as one parallel block grouped by trace.
+        within the batch run once; the remainder is submitted to the
+        executor as one block grouped by trace and drained poll by poll.
         """
-        pairs = list(pairs)
-        ready, pending, exec_groups, group_keys = self._prepare_batch(pairs)
-        results = [ready.get(idx) for idx in range(len(pairs))]
-        if exec_groups:
-            group_stats = self._executor.run(
-                exec_groups, self.decoder, self.traces.items()
-            )
-            fresh = []
-            for keys, stats_list in zip(group_keys, group_stats):
-                for key, stats in zip(keys, stats_list):
-                    self._results[key] = stats
-                    self.telemetry.unique_trials += 1
-                    fresh.append((key, stats))
-                    for idx in pending[key]:
-                        results[idx] = stats
-            # An executor that already persisted its results (the fabric
-            # workers write the shared store directly) needs no
-            # write-back — rewriting N rows per batch would double the
-            # write traffic on the contended multi-writer file.
-            persisted = getattr(self._executor, "persists", False)
-            if self.store is not None and fresh and not persisted:
-                self.store.put_sim_many(fresh)
+        ticket = self._submit(pairs)
+        results = [None] * len(ticket.pairs)
+        for got in drain(self._executor, lambda: self._poll(ticket), ticket.done):
+            for idx, stats in got.items():
+                results[idx] = stats
         return results
 
     # ------------------------------------------------------------------
@@ -354,11 +345,23 @@ class EvaluationEngine:
         """Start ``[(config, workload), ...]`` without waiting.
 
         The cache/dedup prologue is exactly :meth:`simulate_batch`'s —
-        same telemetry, same store reads — but instead of blocking on
-        the executor the remainder is submitted through its
-        non-blocking protocol and a :class:`BatchTicket` is returned.
-        Executors lacking ``submit`` (pre-built duck-typed ones) fall
-        back to running the whole batch at the first poll.
+        same telemetry, same store reads — and the remainder goes to the
+        executor's ``submit``; the returned :class:`BatchTicket` is then
+        polled by the caller instead of drained here.
+        """
+        return self._submit(pairs)
+
+    def poll_batch(self, ticket: "BatchTicket") -> dict:
+        """``{pair index: stats}`` completed since the previous poll."""
+        return self._poll(ticket)
+
+    def _submit(self, pairs) -> "BatchTicket":
+        """:meth:`submit_batch` under a private name.
+
+        :meth:`simulate_batch` drains through ``_submit``/``_poll``, so
+        code wrapping the public entry points (a profiler, a latency
+        probe) sees a blocking batch once, not also as a submit/poll
+        sequence.
         """
         ticket = BatchTicket(pairs=list(pairs))
         ticket.ready, ticket.pending, exec_groups, group_keys = (
@@ -368,55 +371,37 @@ class EvaluationEngine:
                 for ci, key in enumerate(keys):
                     ticket.slot_of[key] = (gi, ci)
                     ticket.key_at[(gi, ci)] = key
-            if hasattr(self._executor, "submit"):
-                ticket.handle = self._executor.submit(
-                    exec_groups, self.decoder, self.traces.items())
-            else:
-                ticket.exec_groups = exec_groups
+            ticket.handle = self._executor.submit(
+                exec_groups, self.decoder, self.traces.items())
         return ticket
 
-    def poll_batch(self, ticket: "BatchTicket") -> dict:
-        """``{pair index: stats}`` completed since the previous poll."""
+    def _poll(self, ticket: "BatchTicket") -> dict:
+        """One executor poll; memoises, counts and writes back new stats."""
         out = dict(ticket.ready)
         ticket.ready = {}
-        if ticket.pending and not ticket.resolved >= set(ticket.pending):
-            got: dict = {}
-            if ticket.handle is not None:
-                got = self._executor.poll(ticket.handle)
-            elif ticket.exec_groups is not None:
-                # run()-fallback: the whole remainder executes now, once.
-                exec_groups, ticket.exec_groups = ticket.exec_groups, None
-                live_groups = []
-                live_slots = []
-                for gi, (configs, tkey, trace) in enumerate(exec_groups):
-                    live = [(ci, config) for ci, config in enumerate(configs)
-                            if (gi, ci) not in ticket.cancelled_slots]
-                    if not live:
-                        continue
-                    live_groups.append(([c for _ci, c in live], tkey, trace))
-                    live_slots.append([(gi, ci) for ci, _c in live])
-                if live_groups:
-                    stats_lists = self._executor.run(
-                        live_groups, self.decoder, self.traces.items())
-                    for slots, stats_list in zip(live_slots, stats_lists):
-                        for slot, stats in zip(slots, stats_list):
-                            got[slot] = stats
-            fresh = []
-            for slot in sorted(got):
-                key = ticket.key_at.get(slot)
-                if key is None or key in ticket.resolved:
-                    continue
-                stats = got[slot]
-                ticket.resolved.add(key)
-                if key not in self._results:
-                    self._results[key] = stats
-                    self.telemetry.unique_trials += 1
-                    fresh.append((key, stats))
-                for idx in ticket.pending[key]:
-                    out[idx] = stats
-            persisted = getattr(self._executor, "persists", False)
-            if self.store is not None and fresh and not persisted:
-                self.store.put_sim_many(fresh)
+        if ticket.handle is None or ticket.resolved >= set(ticket.pending):
+            return out
+        got = self._executor.poll(ticket.handle)
+        fresh = []
+        for slot in sorted(got):
+            key = ticket.key_at.get(slot)
+            if key is None or key in ticket.resolved:
+                continue
+            stats = got[slot]
+            ticket.resolved.add(key)
+            if key not in self._results:
+                self._results[key] = stats
+                self.telemetry.unique_trials += 1
+                fresh.append((key, stats))
+            for idx in ticket.pending[key]:
+                out[idx] = stats
+        # An executor that already persisted its results (the fabric
+        # workers write the shared store directly) needs no write-back
+        # — rewriting N rows per batch would double the write traffic
+        # on the contended multi-writer file.
+        persisted = getattr(self._executor, "persists", False)
+        if self.store is not None and fresh and not persisted:
+            self.store.put_sim_many(fresh)
         return out
 
     def cancel_batch(self, ticket: "BatchTicket", indices) -> None:
@@ -437,9 +422,7 @@ class EvaluationEngine:
                     ticket.cancelled_slots.add(slot)
                     slots.append(slot)
         if slots:
-            if ticket.handle is not None and hasattr(self._executor, "cancel"):
-                self._executor.cancel(ticket.handle, slots)
-            # run()-fallback tickets honour cancelled_slots at execution.
+            self._executor.cancel(ticket.handle, slots)
 
     # ------------------------------------------------------------------
     # Costs

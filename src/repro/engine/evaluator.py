@@ -13,6 +13,11 @@ pairs. Two adapters bridge them:
   with an optional cost function and cost saturation; its batch method
   lets a whole race block execute as one parallel submission.
 
+Both also speak the non-blocking ``submit_batch``/``poll_batch``/
+``cancel_batch`` protocol the async race drives;
+:func:`find_batch_backend` is how a caller holding only evaluation
+callables finds it.
+
 Only ``repro.engine.keys`` is imported here (no engine/tuning modules),
 which keeps the tuning <-> engine import graph acyclic.
 """
@@ -20,6 +25,25 @@ which keeps the tuning <-> engine import graph acyclic.
 from __future__ import annotations
 
 from repro.engine.keys import freeze_assignment
+
+
+def find_batch_backend(evaluate, batch_evaluate):
+    """The object behind ``evaluate``/``batch_evaluate`` that speaks the
+    non-blocking batch protocol, or ``None``.
+
+    Each callable is tried (``batch_evaluate`` first), then the object a
+    bound method belongs to: racing ``cache.evaluate_batch`` finds
+    ``cache``.
+    """
+    for fn in (batch_evaluate, evaluate):
+        if fn is None:
+            continue
+        owner = getattr(fn, "__self__", None)
+        for candidate in (owner, fn):
+            if candidate is not None and hasattr(candidate, "submit_batch") \
+                    and hasattr(candidate, "poll_batch"):
+                return candidate
+    return None
 
 
 class TrialCache:
@@ -59,6 +83,7 @@ class TrialCache:
 
     @staticmethod
     def key(assignment: dict, instance) -> tuple:
+        """The memo key of one trial: ``(frozen assignment, instance)``."""
         return (freeze_assignment(assignment), instance)
 
     def __call__(self, assignment: dict, instance) -> float:
@@ -98,6 +123,13 @@ class TrialCache:
         return ready, pending
 
     def evaluate_batch(self, pairs) -> list:
+        """Costs for ``[(assignment, instance), ...]``, aligned with ``pairs``.
+
+        Memo and store hits are answered directly; the unique remainder
+        runs as one block through the wrapped batch evaluator (or one
+        ``evaluate`` call per trial without one) and is memoised and,
+        with a store, persisted.
+        """
         pairs = list(pairs)
         ready, pending = self._split(pairs)
         costs = [ready.get(idx) for idx in range(len(pairs))]
@@ -121,18 +153,6 @@ class TrialCache:
     # ------------------------------------------------------------------
     # Non-blocking batch protocol (the async race path)
     # ------------------------------------------------------------------
-    def _async_backend(self):
-        """The wrapped evaluator's non-blocking face, if it has one."""
-        for fn in (self._batch, self._evaluate):
-            if fn is None:
-                continue
-            owner = getattr(fn, "__self__", None)
-            for candidate in (owner, fn):
-                if candidate is not None and hasattr(candidate, "submit_batch") \
-                        and hasattr(candidate, "poll_batch"):
-                    return candidate
-        return None
-
     def submit_batch(self, pairs) -> "_TrialTicket":
         """Start ``[(assignment, instance), ...]`` without waiting.
 
@@ -149,7 +169,7 @@ class TrialCache:
             ticket.todo_keys = list(ticket.pending)
             ticket.todo_pairs = [pairs[ticket.pending[key][0]]
                                  for key in ticket.todo_keys]
-            backend = self._async_backend()
+            backend = find_batch_backend(self._evaluate, self._batch)
             if backend is not None:
                 ticket.backend = backend
                 ticket.backend_ticket = backend.submit_batch(ticket.todo_pairs)
@@ -250,6 +270,12 @@ class AssignmentEvaluator:
         return self.evaluate_batch([(assignment, instance)])[0]
 
     def evaluate_batch(self, pairs) -> list:
+        """Costs for ``[(assignment, instance), ...]`` as one engine batch.
+
+        Each assignment is applied to ``base_config`` and the pairs go
+        to :meth:`~repro.engine.engine.EvaluationEngine.evaluate_batch`
+        together; costs are capped at ``saturation`` when one is set.
+        """
         pairs = list(pairs)
         configs = [
             (self.base_config.with_updates(assignment), instance)

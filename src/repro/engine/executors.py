@@ -17,20 +17,24 @@ decoder library) and the driver owns all randomness — so every executor
 returns bit-identical results; only wall-clock differs. The engine relies
 on that to make ``jobs``/``executor`` pure throughput knobs.
 
-Besides the blocking ``run(groups, ...)`` call, every executor speaks a
-non-blocking protocol the async race scheduler drives:
+Every executor speaks one protocol, and the engine drives only it:
 
 - ``submit(groups, decoder, registry_items) -> handle`` starts a batch;
 - ``poll(handle) -> {(group_idx, config_idx): stats}`` returns slots
-  completed since the previous poll (possibly empty, never blocking on
-  unfinished work);
+  completed since the previous poll and never sleeps;
 - ``cancel(handle, slots)`` withdraws not-yet-delivered slots
-  best-effort (work already executing simply completes and is ignored).
+  best-effort (work already executing simply completes and is ignored);
+- ``close()`` releases the executor's resources.
 
-The serial executor "streams" by completing one group per poll; the
-process executor reports whichever futures finished; the fabric
-executor maps the protocol onto queue enqueue + streaming state polls,
-with queue-level ``cancel`` retracting unclaimed speculation.
+An in-process executor returns at least one slot per poll while work is
+outstanding: the serial executor simulates the next group, the process
+executor waits for its first finished future. Only the fabric executor,
+whose work runs elsewhere, can answer ``{}`` mid-batch, so only it is
+ever paced — :func:`drain`, the one blocking loop over ``poll``, naps
+by :class:`~repro.pacing.Pacer` from its ``poll_interval`` up to its
+``poll_cap``. The fabric executor maps the protocol onto queue enqueue
++ streaming state polls, with queue-level ``cancel`` retracting
+unclaimed speculation.
 
 On fork-capable platforms the process executor avoids re-pickling traces
 on every task: whenever the trace registry has grown it refreshes its
@@ -47,7 +51,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from repro.isa.decoder import decoder_library
 from repro.pacing import Pacer
@@ -67,6 +71,47 @@ def _simulate_chunk(payload):
     return simulate_batch(trace, list(configs), decoder=decoder_cls())
 
 
+def drain(executor, poll, done):
+    """Yield every non-empty ``poll()`` result until ``done()``.
+
+    The one blocking loop over the executor protocol. In-process
+    executors deliver on every poll while work is outstanding, so the
+    loop never naps for them; after an empty poll (the fabric's, whose
+    workers run elsewhere) it naps by :class:`~repro.pacing.Pacer` from
+    ``executor.poll_interval`` up to ``executor.poll_cap``, and any
+    delivery resets the pace.
+    """
+    pacer = None
+    while not done():
+        got = poll()
+        if got:
+            if pacer is not None:
+                pacer.reset()
+            yield got
+            continue
+        if pacer is None:
+            pacer = Pacer(executor.poll_interval, executor.poll_cap)
+        time.sleep(pacer.nap())
+
+
+def _run_groups(executor, groups, decoder, registry_items=None) -> list:
+    """Submit ``groups`` and drain them; returns per-group stats lists.
+
+    A convenience over the protocol, exposed as every executor's
+    ``run``. The engine drains its own tickets instead; the name stays
+    because ``campaignbench/layers.py`` traces ``<executor>.run``.
+    """
+    groups = [(list(configs), key, trace) for configs, key, trace in groups]
+    handle = executor.submit(groups, decoder, registry_items)
+    results: dict = {}
+    expected = sum(len(configs) for configs, _key, _trace in groups)
+    for got in drain(executor, lambda: executor.poll(handle),
+                     lambda: len(results) >= expected):
+        results.update(got)
+    return [[results[(gi, ci)] for ci in range(len(configs))]
+            for gi, (configs, _key, _trace) in enumerate(groups)]
+
+
 class SerialExecutor:
     """In-process, in-order execution (the ``jobs=1`` path).
 
@@ -83,12 +128,8 @@ class SerialExecutor:
         """Configs per shared pass for an ``n``-config group: all of them."""
         return [n]
 
-    def run(self, groups, decoder, registry_items=None) -> list:
-        """Simulate every group in order; returns per-group stats lists."""
-        return [simulate_batch(trace, list(configs), decoder=decoder)
-                for configs, _key, trace in groups]
+    run = _run_groups
 
-    # -- non-blocking protocol -----------------------------------------
     def submit(self, groups, decoder, registry_items=None):
         """Start a batch; work happens lazily, one group per poll."""
         return _SerialHandle(groups=[(list(configs), key, trace)
@@ -98,9 +139,9 @@ class SerialExecutor:
     def poll(self, handle) -> dict:
         """Complete the next unfinished group; ``{}`` once exhausted.
 
-        Per-config stats are bit-identical to :meth:`run` — fusing a
-        subset of a group changes nothing (see ``simulate_batch``) —
-        so cancelled slots can simply be skipped.
+        Per-config stats do not depend on which configs share a pass —
+        fusing a subset of a group changes nothing (see
+        ``simulate_batch``) — so cancelled slots can simply be skipped.
         """
         out: dict = {}
         while handle.next_group < len(handle.groups) and not out:
@@ -205,8 +246,15 @@ class ProcessExecutor:
             )
         return decoder_cls
 
-    def _submit_futures(self, groups, decoder_cls) -> list:
-        """Fan chunks over the pool; returns ``[future, gi, [ci...], done]``."""
+    run = _run_groups
+
+    def submit(self, groups, decoder, registry_items=None) -> list:
+        """Fan chunks over the pool; results stream back via :meth:`poll`.
+
+        The handle is a list of ``[future, gi, [ci...], done]`` entries.
+        """
+        self._ensure_pool(registry_items)
+        decoder_cls = self._check_reconstructible(decoder)
         entries = []
         for gi, (configs, key, trace) in enumerate(groups):
             configs = list(configs)
@@ -222,29 +270,15 @@ class ProcessExecutor:
                                 gi, slots, False])
         return entries
 
-    def run(self, groups, decoder, registry_items=None) -> list:
-        """Fan the groups over the pool; identical results to serial."""
-        self._ensure_pool(registry_items)
-        decoder_cls = self._check_reconstructible(decoder)
-        entries = self._submit_futures(groups, decoder_cls)
-        out = [[] for _ in groups]
-        # Collect in submission order: deterministic regardless of which
-        # worker finishes first.
-        for future, gi, _slots, _done in entries:
-            out[gi].extend(future.result())
-        return out
-
-    # -- non-blocking protocol -----------------------------------------
-    def submit(self, groups, decoder, registry_items=None):
-        """Start a batch on the pool; results stream back via :meth:`poll`."""
-        self._ensure_pool(registry_items)
-        decoder_cls = self._check_reconstructible(decoder)
-        return self._submit_futures(
-            [(list(configs), key, trace) for configs, key, trace in groups],
-            decoder_cls)
-
     def poll(self, handle) -> dict:
-        """Slots of every future finished since the previous poll."""
+        """Slots of every future finished since the previous poll.
+
+        While futures are outstanding and none has finished, waits for
+        the first to finish, so such a poll always delivers.
+        """
+        waiting = [future for future, _gi, _slots, done in handle if not done]
+        if waiting:
+            wait(waiting, return_when=FIRST_COMPLETED)
         out: dict = {}
         for entry in handle:
             future, gi, slots, done = entry
@@ -290,13 +324,15 @@ class ProcessExecutor:
 class FabricExecutor:
     """Distributed execution over the fabric's durable job queue.
 
-    ``run`` plans each batch into content-keyed tasks (deduplicated
+    ``submit`` plans each batch into content-keyed tasks (deduplicated
     against the store a second time at planning — another driver may
-    have finished a key since the engine's own cache check), enqueues
-    them idempotently, then polls until every key is ``done`` in the
-    queue and reads the stats back from the store. Concurrency lives
-    entirely outside this process: throughput is however many
-    ``repro worker`` processes share the store file.
+    have finished a key since the engine's own cache check) and
+    enqueues them idempotently; ``poll`` reads back, from the store,
+    the stats of every key the queue reports ``done``. Concurrency
+    lives entirely outside this process: throughput is however many
+    ``repro worker`` processes share the store file. So this is the
+    one executor whose polls come back empty mid-batch, and the only
+    one :func:`drain` paces: ``poll`` itself never sleeps.
 
     Parameters
     ----------
@@ -306,7 +342,8 @@ class FabricExecutor:
         queue speaks the same experiment service, see
         :mod:`repro.service`).
     poll:
-        Seconds between completion polls.
+        Seconds of the first nap after an empty poll
+        (``poll_interval``); naps then stretch up to ``poll_cap``.
     timeout:
         Optional cap on the seconds one batch may wait before a
         ``TimeoutError`` (``None`` waits indefinitely — matching a
@@ -346,11 +383,11 @@ class FabricExecutor:
             )
         self.store = store
         self.poll_interval = float(poll)
-        #: Ceiling for the adaptive poll pacing: consecutive empty
-        #: polls stretch the sleep from ``poll_interval`` up to here
-        #: (:class:`~repro.pacing.Pacer`), so an idle driver stops
-        #: hammering the queue/server; any delivered result resets the
-        #: pace to ``poll_interval``.
+        #: Ceiling for the adaptive poll pacing of :func:`drain`:
+        #: consecutive empty polls stretch the nap from
+        #: ``poll_interval`` up to here (:class:`~repro.pacing.Pacer`),
+        #: so an idle driver stops hammering the queue/server; any
+        #: delivered result resets the pace to ``poll_interval``.
         self.poll_cap = max(self.poll_interval, 1.0)
         self.timeout = timeout
         #: Keys enqueued by this executor and not yet observed done —
@@ -358,26 +395,8 @@ class FabricExecutor:
         #: each key crosses the wire once.
         self._in_flight: set = set()
 
-    def run(self, groups, decoder, registry_items=None) -> list:
-        """Publish the batch as fabric tasks; block until workers finish."""
-        groups = [(list(configs), tkey, trace) for configs, tkey, trace in groups]
-        handle = self.submit(groups, decoder, registry_items)
-        results: dict = {}
-        expected = sum(len(configs) for configs, _tkey, _trace in groups)
-        pacer = Pacer(self.poll_interval, self.poll_cap)
-        while len(results) < expected:
-            got = self.poll(handle)
-            if got:
-                results.update(got)
-                pacer.reset()
-                continue
-            time.sleep(pacer.nap())
+    run = _run_groups
 
-        # Reassemble per-group stats in the engine's submission order.
-        return [[results[(gi, ci)] for ci in range(len(configs))]
-                for gi, (configs, _tkey, _trace) in enumerate(groups)]
-
-    # -- non-blocking protocol -----------------------------------------
     def submit(self, groups, decoder, registry_items=None):
         """Plan, deduplicate and enqueue a batch; poll for completions."""
         from repro.fabric.scheduler import plan_groups
@@ -416,7 +435,7 @@ class FabricExecutor:
         )
 
     def poll(self, handle) -> dict:
-        """One queue-state pass; never sleeps (the caller paces polls).
+        """One queue-state pass; never sleeps (:func:`drain` paces polls).
 
         Result read-backs are batched through ``get_sims`` — one store
         query (one HTTP request on the wire transport) per poll however

@@ -20,11 +20,10 @@ The driver-side entry point is the ``fabric`` executor
 fabric`` on the CLI.
 
 Every consumer programs against the queue *interface*
-(:class:`repro.fabric.api.TaskQueue`); :class:`JobQueue` (alias
-:data:`SqliteQueue`) is the SQLite implementation, and
-:class:`repro.service.client.HttpQueue` speaks the same contract to a
-remote ``repro serve`` — which is how the fabric crosses host
-boundaries without shared storage.
+(:class:`repro.fabric.api.TaskQueue`); :class:`JobQueue` is the SQLite
+implementation, and :class:`repro.service.client.HttpQueue` speaks the
+same contract to a remote ``repro serve`` — which is how the fabric
+crosses host boundaries without shared storage.
 """
 
 from repro.fabric.api import TaskQueue
@@ -34,7 +33,6 @@ from repro.fabric.queue import (
     FABRIC_SCHEMA_VERSION,
     JobQueue,
     Lease,
-    SqliteQueue,
     Task,
 )
 from repro.fabric.scheduler import TaskPlan, expand_grid, plan_groups, plan_simulations
@@ -55,7 +53,6 @@ __all__ = [
     "FABRIC_SCHEMA_VERSION",
     "JobQueue",
     "Lease",
-    "SqliteQueue",
     "Task",
     "TaskQueue",
     "TaskPlan",

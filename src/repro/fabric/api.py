@@ -78,22 +78,14 @@ class TaskQueue(abc.ABC):
         ``None`` after the wait elapses with the queue still empty.
         """
 
+    @abc.abstractmethod
     def claim_many(self, worker_id: str, n: int,
                    lease_seconds: float = None) -> list:
         """Lease up to ``n`` claimable tasks in one round trip.
 
         Returns a (possibly empty) list of tasks, oldest first — never
-        blocks. Implementations override this with a one-transaction /
-        one-request form; the default loops :meth:`claim` so the
-        contract holds for any conformant queue.
+        blocks. One transaction (SQLite) or one request (HTTP).
         """
-        tasks = []
-        for _ in range(max(0, n)):
-            task = self.claim(worker_id, lease_seconds=lease_seconds)
-            if task is None:
-                break
-            tasks.append(task)
-        return tasks
 
     @abc.abstractmethod
     def heartbeat(self, key: str, worker_id: str, lease_seconds: float = None) -> bool:

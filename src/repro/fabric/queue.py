@@ -665,8 +665,3 @@ class JobQueue(TaskQueue):
         """Close the queue's SQLite connection."""
         with self._lock:
             self._conn.close()
-
-
-#: The SQLite implementation under its transport-explicit name, for
-#: symmetry with :class:`~repro.service.client.HttpQueue`.
-SqliteQueue = JobQueue

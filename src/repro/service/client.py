@@ -262,7 +262,12 @@ class ServiceClient:
                             f"response body: {exc}", status=status) from None
                     self._count(compressed_bodies=1)
                 if status == 200:
-                    return json.loads(raw)
+                    try:
+                        return json.loads(raw)
+                    except ValueError as exc:
+                        raise ServiceError(
+                            f"{method} /{endpoint} failed: undecodable "
+                            f"response body: {exc}", status=status) from None
                 detail = self._error_text(raw)
                 if status == 429:
                     retry_floor = self._retry_after(resp)

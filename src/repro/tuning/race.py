@@ -41,6 +41,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from repro.engine.evaluator import find_batch_backend
 from repro.pacing import Pacer
 from repro.tuning import stats
 
@@ -502,7 +503,7 @@ def race(
 
     if mode == "async":
         if source is None:
-            backend = _find_batch_backend(evaluate, batch_evaluate)
+            backend = find_batch_backend(evaluate, batch_evaluate)
             if backend is not None:
                 source = BatchSource(backend)
             else:
@@ -522,16 +523,3 @@ def race(
             costs = {i: evaluate(configs[i], instance) for i in state.alive}
         state.commit_step(costs)
     return state.result()
-
-
-def _find_batch_backend(evaluate, batch_evaluate):
-    """Locate an object speaking the non-blocking batch protocol."""
-    for fn in (batch_evaluate, evaluate):
-        if fn is None:
-            continue
-        owner = getattr(fn, "__self__", None)
-        for candidate in (owner, fn):
-            if candidate is not None and hasattr(candidate, "submit_batch") \
-                    and hasattr(candidate, "poll_batch"):
-                return candidate
-    return None

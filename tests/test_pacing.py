@@ -1,8 +1,8 @@
 """The shared poll-pacing rule, on a virtual clock.
 
 ``nap = clamp(waited / 2, floor, cap)``: every idle poll loop on the
-fleet path (race frontier, fabric executor, queue long-poll, worker
-dispatcher) uses it. Nothing here reads a wall clock: sleeps are
+fleet path (race frontier, the engine's executor drain, queue long-poll,
+worker dispatcher) uses it. Nothing here reads a wall clock: sleeps are
 recorded and added to a fake clock, so each bound below is exact.
 """
 
@@ -90,19 +90,21 @@ class TestLoopsUseTheRule:
     """The loops that sleep via ``time.sleep`` follow the rule exactly."""
 
     @pytest.mark.parametrize("deliver_at", [0.003, 0.2, 4.0, 29.0])
-    def test_fabric_executor_run(self, monkeypatch, deliver_at):
-        from repro.engine.executors import FabricExecutor
+    def test_fabric_executor_drain(self, monkeypatch, deliver_at):
+        from repro.engine.executors import FabricExecutor, drain
 
         sleep = FakeSleep()
         monkeypatch.setattr("repro.engine.executors.time.sleep", sleep)
         ex = FabricExecutor.__new__(FabricExecutor)
-        ex.poll_interval, ex.poll_cap, ex.timeout = FLOOR, CAP, None
-        ex.submit = lambda groups, decoder, registry_items=None: "handle"
-        ex.poll = lambda handle: (
-            {(0, 0): "stats"} if sleep.clock >= deliver_at else {})
+        ex.poll_interval, ex.poll_cap = FLOOR, CAP
+        results: dict = {}
 
-        assert ex.run([(["cfg"], ("wl", 1.0, ()), None)], decoder=None) \
-            == [["stats"]]
+        def poll():
+            return {(0, 0): "stats"} if sleep.clock >= deliver_at else {}
+
+        for got in drain(ex, poll, lambda: bool(results)):
+            results.update(got)
+        assert results == {(0, 0): "stats"}
         expected, _polls = detect(deliver_at, Pacer(FLOOR, CAP))
         assert sleep.clock == pytest.approx(expected)
         assert sleep.clock - deliver_at <= max(FLOOR, 0.5 * deliver_at)

@@ -6,6 +6,7 @@ because the wire behaviours under test (status codes, headers, retry
 timing) only exist on a real socket.
 """
 
+import contextlib
 import http.client
 import http.server
 import json
@@ -741,30 +742,44 @@ class TestBodyFraming:
     @pytest.mark.parametrize("encoding", ["deflate", None], ids=["bomb", "raw"])
     def test_oversized_response_is_a_service_error(self, encoding):
         body = _deflate_bomb() if encoding else b" " * (MAX_BODY + 1)
-
-        class BigHandler(http.server.BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 — http.server API
-                self.send_response(200)
-                if encoding:
-                    self.send_header("Content-Encoding", encoding)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                try:
-                    self.wfile.write(body)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass  # the client stopped reading at the limit
-
-            def log_message(self, *args):
-                pass
-
-        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), BigHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}",
-                                   token=TOKEN, max_retries=0)
+        with _stub_client(body, encoding) as client:
             with pytest.raises(ServiceError, match="limit"):
                 client.handshake()
-        finally:
-            server.shutdown()
-            server.server_close()
+
+    @pytest.mark.parametrize("body", [b'{"wire": 1, "queue', b" " * 64],
+                             ids=["truncated", "spaces"])
+    def test_undecodable_success_body_is_a_service_error(self, body):
+        with _stub_client(body) as client:
+            with pytest.raises(ServiceError, match="undecodable") as err:
+                client.handshake()
+        assert err.value.status == 200
+
+
+@contextlib.contextmanager
+def _stub_client(body: bytes, encoding: str = None):
+    """A client of a stub server that answers every GET 200 with ``body``."""
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):  # noqa: N802 — http.server API
+            self.send_response(200)
+            if encoding:
+                self.send_header("Content-Encoding", encoding)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            try:
+                self.wfile.write(body)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the client stopped reading at the limit
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield ServiceClient(f"http://127.0.0.1:{server.server_address[1]}",
+                            token=TOKEN, max_retries=0)
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -2,10 +2,10 @@
 """Docstring guard for the public entry points.
 
 A grep/pydocstyle substitute with zero extra dependencies: imports the
-modules behind the public API (``simulate``, ``EvaluationEngine``,
-``ResultStore``, ``ValidationCampaign``, ``IraceTuner``, ``race``, the
-bench layer and the CLI) and fails if any public module, class, method
-or function they define lacks a docstring.
+modules behind the public API (``simulate``, ``EvaluationEngine`` and
+its trial evaluators, ``ResultStore``, ``ValidationCampaign``,
+``IraceTuner``, ``race``, the bench layer and the CLI) and fails if any
+public module, class, method or function they define lacks a docstring.
 
 Run from the repository root::
 
@@ -26,6 +26,7 @@ TARGET_MODULES = [
     "repro.simulator.simulator",
     "repro.engine.engine",
     "repro.engine.executors",
+    "repro.engine.evaluator",
     "repro.store.resultstore",
     "repro.fabric.api",
     "repro.fabric.queue",
