@@ -10,18 +10,24 @@ are in, never *when* they arrived. This suite pins that contract:
 - a deterministic completion-order-shuffling fake source replays
   results in adversarial orders (reverse, interleaved, loser-first)
   and the decisions never change;
+- on a virtual-clock fleet of one fast and one slow worker, lookahead
+  keeps both busy (busy fraction >= 0.9) where the per-step barrier
+  leaves the fast one idle;
 - the same holds through the real execution stack:
   {sync, async} x {serial, fabric+worker, HTTP service+worker} all
   agree on the engine-backed race, and a full validation campaign's
   JSON is byte-identical between ``--race-mode sync`` and ``async``.
 """
 
+import importlib
 import json
 import os
 import random
 import subprocess
 import sys
 import threading
+import time
+import types
 
 import pytest
 
@@ -188,6 +194,83 @@ class ShuffledSource:
     def cancel(self, tokens):
         drop = set(tokens)
         self.done = [(t, c) for t, c in self.done if t not in drop]
+
+
+class VirtualFleetSource:
+    """A race source backed by speed-skewed workers on a virtual clock.
+
+    ``submit`` queues requests in order; each idle worker (in list
+    order) takes the next one and holds it for its own ``durations``
+    entry, in virtual units. ``poll`` advances the clock to the next
+    completion and returns that one result, after which the freed
+    worker takes the next queued request. Nothing sleeps or runs in a
+    thread, so the busy fraction is exact.
+    """
+
+    def __init__(self, evaluate, durations=(1, 10)):
+        self.evaluate = evaluate
+        self.durations = durations
+        self.queue = []                       # [(token, config, instance)]
+        self.running = [None] * len(durations)  # per worker: (finish, request)
+        self.clock = 0
+        self.busy = 0
+
+    def submit(self, requests):
+        self.queue.extend(requests)
+        self._dispatch()
+
+    def _dispatch(self):
+        for w, duration in enumerate(self.durations):
+            if self.running[w] is None and self.queue:
+                self.running[w] = (self.clock + duration, self.queue.pop(0))
+
+    def poll(self):
+        holding = [w for w, job in enumerate(self.running) if job is not None]
+        if not holding:
+            return []
+        w = min(holding, key=lambda k: self.running[k][0])
+        self.clock, (token, config, instance) = self.running[w]
+        self.running[w] = None
+        self.busy += self.durations[w]
+        self._dispatch()
+        return [(token, self.evaluate(config, instance))]
+
+    def cancel(self, tokens):
+        drop = set(tokens)
+        self.queue = [r for r in self.queue if r[0] not in drop]
+
+    def busy_fraction(self):
+        """Task-holding time over ``clock x workers``."""
+        return self.busy / (self.clock * len(self.durations))
+
+
+class TestSaturation:
+    """Lookahead keeps a speed-skewed fleet busy; the barrier idles it."""
+
+    def test_lookahead_saturates_skewed_workers(self, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"race slept {seconds}s on a virtual clock")
+
+        race_module = importlib.import_module("repro.tuning.race")
+        monkeypatch.setattr(race_module, "time", types.SimpleNamespace(
+            sleep=no_sleep, monotonic=time.monotonic))
+        configs = [{"id": 0}, {"id": 1}]
+        instances = list(range(16))
+        evaluate = _pure_evaluator({0: 0.1, 1: 0.12})
+        sync = race(configs, instances, evaluate=evaluate, first_test=17)
+
+        def busy_fraction(lookahead):
+            source = VirtualFleetSource(evaluate)
+            live = race(configs, instances, mode="async", source=source,
+                        lookahead=lookahead, first_test=17,  # no elimination
+                        poll_interval=0.0)
+            assert live.decision_record() == sync.decision_record()
+            return source.busy_fraction()
+
+        barrier, ahead = busy_fraction(0), busy_fraction(6)
+        assert ahead >= 0.9
+        assert barrier < ahead
+        assert barrier == pytest.approx(11 / 20)  # the slow task gates each step
 
 
 class TestAdversarialCompletionOrders:
