@@ -32,19 +32,6 @@ def board() -> FireflyRK3399:
 
 
 @pytest.fixture(scope="session")
-def perf_scenarios():
-    """The perf layer's quick scenario suite (see ``repro.bench``).
-
-    The same deterministic scenarios `repro bench --quick` runs; the
-    perf benchmark file drives them through pytest-benchmark so the
-    hot-path trajectory shows up alongside the paper's tables/figures.
-    """
-    from repro.bench import quick_suite
-
-    return {scn.name: scn for scn in quick_suite()}
-
-
-@pytest.fixture(scope="session")
 def bench_store():
     """Optional shared store for the tuned-campaign fixtures."""
     path = os.environ.get("REPRO_BENCH_STORE")

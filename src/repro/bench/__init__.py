@@ -1,10 +1,11 @@
 """Performance layer: benchmark scenarios, harness and perf baselines.
 
-``repro bench`` (and this package's API) measures a fixed suite of
-micro-benchmark, SPEC-proxy, trace-recording and engine scenarios and
-records instructions/sec, simulated cycles/sec and engine telemetry in
-a versioned ``BENCH_<host>.json`` — the perf baseline every future PR
-is compared against.
+``repro bench`` (and this package's API) times each layer of the
+simulation stack alone: simulator throughput on micro-benchmark and
+SPEC-proxy traces, trace recording, batched race-step fusion and
+trace-blob attach. It records instructions/sec, simulated cycles/sec
+and per-kind telemetry in a versioned ``BENCH_<host>.json`` — the perf
+baseline every future PR is compared against.
 
 >>> from repro.bench import run_suite
 >>> entry = run_suite("quick")           # doctest: +SKIP

@@ -2,10 +2,10 @@
 
 Every future PR inherits a perf baseline from the JSON reports this
 module writes: instructions simulated per second, simulated cycles per
-second, trace-recording throughput and engine telemetry, per scenario,
-per host, with history. The report format is versioned and validated
-(:func:`validate_report`), and updating an existing file appends a run
-instead of clobbering the history.
+second, trace-recording throughput, batch-fusion and trace-attach
+telemetry, per scenario, per host, with history. The report format is
+versioned and validated (:func:`validate_report`), and updating an
+existing file appends a run instead of clobbering the history.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import platform
 import re
 import subprocess
 import time
-from dataclasses import asdict
 
 from repro.bench.scenarios import BenchScenario, get_suite, sampled_config
 
@@ -144,469 +143,6 @@ def _run_trace(scn: BenchScenario, repeats: int) -> dict:
         "instructions_per_second": instructions / best,
         "cycles_per_second": 0.0,
         "telemetry": None,
-    }
-
-
-def _run_engine(scn: BenchScenario, repeats: int) -> dict:
-    """Batched engine throughput + telemetry over a config grid.
-
-    Submits the grid twice: the first batch simulates every unique
-    trial, the second is answered entirely from the engine cache — the
-    recorded telemetry shows both.
-    """
-    import itertools
-
-    from repro.engine import EvaluationEngine
-
-    base = _config_for(scn.core)
-    keys = [k for k, _values in scn.grid]
-    axes = [values for _k, values in scn.grid]
-    configs = [
-        base.with_updates(dict(zip(keys, combo)))
-        for combo in itertools.product(*axes)
-    ]
-    workloads = [_workload(n) for n in scn.workloads]
-    with EvaluationEngine(workloads=workloads, scale=scn.scale) as engine:
-        pairs = [(c, w.name) for c in configs for w in workloads]
-        t0 = time.perf_counter()
-        stats_list = engine.simulate_batch(pairs)
-        wall = time.perf_counter() - t0
-        engine.simulate_batch(pairs)  # warm pass: pure cache hits
-        telemetry = asdict(engine.telemetry)
-    instructions = sum(s.instructions for s in stats_list)
-    cycles = sum(s.cycles for s in stats_list)
-    return {
-        "instructions": instructions,
-        "cycles": cycles,
-        "wall_seconds": wall,
-        "instructions_per_second": instructions / wall,
-        "cycles_per_second": cycles / wall,
-        "telemetry": telemetry,
-    }
-
-
-def _run_fabric(scn: BenchScenario, repeats: int) -> dict:
-    """Distributed-dispatch overhead vs the serial path, per task.
-
-    The grid runs twice over the same (memoised) traces: once through a
-    serial engine, once decomposed into fabric tasks on a throwaway
-    SQLite queue drained by an in-process worker. The difference,
-    divided by the task count, is the fabric's per-task dispatch cost
-    (enqueue + lease claim + store write-back + completion + read-back);
-    the serial pass doubles as proof the in-process path is untouched.
-    Each repeat uses a fresh queue file so no pass is answered from the
-    previous pass's store.
-    """
-    import itertools
-    import shutil
-    import tempfile
-
-    from repro.engine import EvaluationEngine
-    from repro.fabric import FabricWorker, JobQueue, plan_simulations
-    from repro.isa.decoder import Decoder
-    from repro.store import open_store
-
-    base = _config_for(scn.core)
-    keys = [k for k, _values in scn.grid]
-    axes = [values for _k, values in scn.grid]
-    configs = [
-        base.with_updates(dict(zip(keys, combo)))
-        for combo in itertools.product(*axes)
-    ]
-    workloads = [_workload(n) for n in scn.workloads]
-    pairs = [(c, w.name) for c in configs for w in workloads]
-
-    # Warm pass: traces record once, shared by both timed paths below.
-    with EvaluationEngine(workloads=workloads, scale=scn.scale) as engine:
-        stats_list = engine.simulate_batch(pairs)
-    instructions = sum(s.instructions for s in stats_list)
-    cycles = sum(s.cycles for s in stats_list)
-
-    best_serial = best_fabric = float("inf")
-    tmp = tempfile.mkdtemp(prefix="repro-bench-fabric-")
-    try:
-        for rep in range(repeats):
-            with EvaluationEngine(workloads=workloads, scale=scn.scale) as engine:
-                t0 = time.perf_counter()
-                engine.simulate_batch(pairs)
-                best_serial = min(best_serial, time.perf_counter() - t0)
-
-            path = os.path.join(tmp, f"pass{rep}.sqlite")
-            decoder = Decoder()
-            items = [(config, name, scn.scale, {}, decoder)
-                     for config, name in pairs]
-            t0 = time.perf_counter()
-            plan = plan_simulations(items)
-            with JobQueue(path) as queue:
-                queue.enqueue(plan.tasks, submitted_by="bench")
-            FabricWorker(path, drain=True, poll=0.01, lease=60.0).run()
-            with open_store(path) as store:
-                for key in plan.keys:
-                    assert store.get_sim(key) is not None
-            best_fabric = min(best_fabric, time.perf_counter() - t0)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    n_tasks = len(pairs)
-    overhead_ms = max(0.0, best_fabric - best_serial) / n_tasks * 1e3
-    return {
-        "instructions": instructions,
-        "cycles": cycles,
-        "wall_seconds": best_fabric,
-        "instructions_per_second": instructions / best_fabric,
-        "cycles_per_second": cycles / best_fabric,
-        "telemetry": {
-            "tasks": n_tasks,
-            "serial_wall_seconds": best_serial,
-            "fabric_wall_seconds": best_fabric,
-            "dispatch_overhead_ms_per_task": overhead_ms,
-        },
-    }
-
-
-def _run_service(scn: BenchScenario, repeats: int) -> dict:
-    """HTTP-dispatch overhead vs the serial path, per task.
-
-    The fabric measurement (:func:`_run_fabric`) with the wire in the
-    loop: queue *and* store sit behind an in-process experiment service
-    (``repro serve``'s machinery on a loopback socket), the worker and
-    the read-back both speak HTTP. Reported next to the local fabric
-    scenario, the delta in ``dispatch_overhead_ms_per_task`` is what
-    one task costs in request round-trips (claim, heartbeat, store
-    write-back, completion) — the price of dropping the shared-
-    filesystem requirement.
-    """
-    import itertools
-    import shutil
-    import tempfile
-
-    from repro.engine import EvaluationEngine
-    from repro.fabric import FabricWorker, plan_simulations
-    from repro.isa.decoder import Decoder
-    from repro.service.client import HttpQueue
-    from repro.service.server import ExperimentService
-    from repro.store import open_store
-
-    base = _config_for(scn.core)
-    keys = [k for k, _values in scn.grid]
-    axes = [values for _k, values in scn.grid]
-    configs = [
-        base.with_updates(dict(zip(keys, combo)))
-        for combo in itertools.product(*axes)
-    ]
-    workloads = [_workload(n) for n in scn.workloads]
-    pairs = [(c, w.name) for c in configs for w in workloads]
-
-    with EvaluationEngine(workloads=workloads, scale=scn.scale) as engine:
-        stats_list = engine.simulate_batch(pairs)
-    instructions = sum(s.instructions for s in stats_list)
-    cycles = sum(s.cycles for s in stats_list)
-
-    token = "bench-service-token"
-    best_serial = best_service = float("inf")
-    tmp = tempfile.mkdtemp(prefix="repro-bench-service-")
-    try:
-        for rep in range(repeats):
-            with EvaluationEngine(workloads=workloads, scale=scn.scale) as engine:
-                t0 = time.perf_counter()
-                engine.simulate_batch(pairs)
-                best_serial = min(best_serial, time.perf_counter() - t0)
-
-            path = os.path.join(tmp, f"pass{rep}.sqlite")
-            decoder = Decoder()
-            items = [(config, name, scn.scale, {}, decoder)
-                     for config, name in pairs]
-            service = ExperimentService(path, token=token, port=0).start()
-            try:
-                t0 = time.perf_counter()
-                plan = plan_simulations(items)
-                with HttpQueue(service.url, token=token) as queue:
-                    queue.enqueue(plan.tasks, submitted_by="bench")
-                FabricWorker(service.url, drain=True, poll=0.01, lease=60.0,
-                             token=token).run()
-                with open_store(service.url, token=token) as store:
-                    for key in plan.keys:
-                        assert store.get_sim(key) is not None
-                best_service = min(best_service, time.perf_counter() - t0)
-            finally:
-                service.stop()
-                service.close()
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    n_tasks = len(pairs)
-    overhead_ms = max(0.0, best_service - best_serial) / n_tasks * 1e3
-    return {
-        "instructions": instructions,
-        "cycles": cycles,
-        "wall_seconds": best_service,
-        "instructions_per_second": instructions / best_service,
-        "cycles_per_second": cycles / best_service,
-        "telemetry": {
-            "tasks": n_tasks,
-            "serial_wall_seconds": best_serial,
-            "service_wall_seconds": best_service,
-            "dispatch_overhead_ms_per_task": overhead_ms,
-        },
-    }
-
-
-def _run_dispatch(scn: BenchScenario, repeats: int) -> dict:
-    """Dispatch overhead per task, both transports, one scenario.
-
-    The ``fabric`` and ``service`` scenarios each compare one transport
-    against the serial path; this scenario times *both* against one
-    shared serial baseline so the pair of per-task figures in its
-    telemetry — ``sqlite_overhead_ms_per_task`` and
-    ``http_overhead_ms_per_task`` — is measured on the same pass over
-    the same warm traces. It exists to track the wire-speed work
-    (batched claim/complete, long-poll, keep-alive connections,
-    compressed payloads, worker pipelining) as one number per
-    transport.
-    """
-    import itertools
-    import shutil
-    import tempfile
-
-    from repro.engine import EvaluationEngine
-    from repro.fabric import FabricWorker, JobQueue, plan_simulations
-    from repro.isa.decoder import Decoder
-    from repro.service.client import HttpQueue
-    from repro.service.server import ExperimentService
-    from repro.store import open_store
-
-    base = _config_for(scn.core)
-    keys = [k for k, _values in scn.grid]
-    axes = [values for _k, values in scn.grid]
-    configs = [
-        base.with_updates(dict(zip(keys, combo)))
-        for combo in itertools.product(*axes)
-    ]
-    workloads = [_workload(n) for n in scn.workloads]
-    pairs = [(c, w.name) for c in configs for w in workloads]
-
-    # Warm pass: traces record once, shared by every timed path below.
-    with EvaluationEngine(workloads=workloads, scale=scn.scale) as engine:
-        stats_list = engine.simulate_batch(pairs)
-    instructions = sum(s.instructions for s in stats_list)
-    cycles = sum(s.cycles for s in stats_list)
-
-    token = "bench-dispatch-token"
-    best_serial = best_sqlite = best_http = float("inf")
-    tmp = tempfile.mkdtemp(prefix="repro-bench-dispatch-")
-
-    def reset(path):
-        # Fresh queue/store every pass, but a *stable* path so the
-        # workers' per-host trace cache (``<store>.traces/``, keyed by
-        # store spec) stays warm across passes — matching a steady-state
-        # fleet, where trace blobs persist on each host by design.
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                os.remove(path + suffix)
-            except OSError:
-                pass
-
-    try:
-        http_port = 0
-        for rep in range(repeats):
-            with EvaluationEngine(workloads=workloads, scale=scn.scale) as engine:
-                t0 = time.perf_counter()
-                engine.simulate_batch(pairs)
-                best_serial = min(best_serial, time.perf_counter() - t0)
-
-            decoder = Decoder()
-            items = [(config, name, scn.scale, {}, decoder)
-                     for config, name in pairs]
-
-            path = os.path.join(tmp, "sqlite-pass.sqlite")
-            reset(path)
-            # Schema setup happens outside the timed region on both
-            # transports (the service builds its tables at start);
-            # the timer covers plan → enqueue → drain → readback.
-            with JobQueue(path) as queue:
-                t0 = time.perf_counter()
-                plan = plan_simulations(items)
-                queue.enqueue(plan.tasks, submitted_by="bench")
-            FabricWorker(path, drain=True, poll=0.01, lease=60.0).run()
-            with open_store(path) as store:
-                assert all(s is not None for s in store.get_sims(plan.keys))
-            best_sqlite = min(best_sqlite, time.perf_counter() - t0)
-
-            path = os.path.join(tmp, "http-pass.sqlite")
-            reset(path)
-            service = ExperimentService(path, token=token, port=http_port).start()
-            http_port = service.port  # keep the URL (= trace dir) stable
-            try:
-                t0 = time.perf_counter()
-                plan = plan_simulations(items)
-                with HttpQueue(service.url, token=token) as queue:
-                    queue.enqueue(plan.tasks, submitted_by="bench")
-                FabricWorker(service.url, drain=True, poll=0.01, lease=60.0,
-                             token=token).run()
-                with open_store(service.url, token=token) as store:
-                    assert all(
-                        s is not None for s in store.get_sims(plan.keys))
-                best_http = min(best_http, time.perf_counter() - t0)
-            finally:
-                service.stop()
-                service.close()
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    n_tasks = len(pairs)
-    sqlite_ms = max(0.0, best_sqlite - best_serial) / n_tasks * 1e3
-    http_ms = max(0.0, best_http - best_serial) / n_tasks * 1e3
-    return {
-        "instructions": instructions,
-        "cycles": cycles,
-        "wall_seconds": best_http,
-        "instructions_per_second": instructions / best_http,
-        "cycles_per_second": cycles / best_http,
-        "telemetry": {
-            "tasks": n_tasks,
-            "serial_wall_seconds": best_serial,
-            "sqlite_wall_seconds": best_sqlite,
-            "http_wall_seconds": best_http,
-            "sqlite_overhead_ms_per_task": sqlite_ms,
-            "http_overhead_ms_per_task": http_ms,
-        },
-    }
-
-
-def _run_race(scn: BenchScenario, repeats: int) -> dict:
-    """Async-race fleet saturation on a speed-skewed two-worker fabric.
-
-    The same engine-backed race (grid candidates x workload instances,
-    no elimination so both modes do identical committed work) runs
-    twice against a fresh SQLite fabric drained by two in-process
-    workers, one fast and one slowed by a fixed per-task delay:
-
-    - ``sync`` — the per-step barrier: the fast worker drains its share
-      of each step, then idles until the slow worker releases the
-      frontier;
-    - ``async`` — speculative lookahead keeps future steps enqueued, so
-      the fast worker always has work.
-
-    The telemetry reports each mode's busy-worker fraction (summed
-    task-holding seconds over ``wall x workers``) and the saturation
-    gain — the headline of the asynchronous racing PR. The decision
-    records of both modes are asserted identical: saturation is free.
-    """
-    import itertools
-    import shutil
-    import tempfile
-    import threading
-
-    from repro.engine import EvaluationEngine, TrialCache
-    from repro.engine.evaluator import AssignmentEvaluator
-    from repro.engine.executors import FabricExecutor
-    from repro.fabric import FabricWorker
-    from repro.hardware.board import FireflyRK3399
-    from repro.store import open_store
-    from repro.tuning.race import race
-
-    class SkewedWorker(FabricWorker):
-        """A fabric worker slowed by a fixed per-task delay, recording
-        the wall seconds it spends holding tasks."""
-
-        def __init__(self, store_path, delay, **kwargs):
-            super().__init__(store_path, **kwargs)
-            self.delay = delay
-            self.busy_seconds = 0.0
-
-        def _execute(self, task):
-            """Delay, then run the task; accumulate busy wall time."""
-            t0 = time.perf_counter()
-            time.sleep(self.delay)
-            super()._execute(task)
-            self.busy_seconds += time.perf_counter() - t0
-
-    base = _config_for(scn.core)
-    keys = [k for k, _values in scn.grid]
-    axes = [values for _k, values in scn.grid]
-    candidates = [dict(zip(keys, combo))
-                  for combo in itertools.product(*axes)]
-    instances = list(scn.workloads)
-    workloads = [_workload(n) for n in instances]
-    hw = FireflyRK3399().core(scn.core)
-    delays = (0.04, 0.4)  # fast vs slow worker, seconds per task
-    lookahead = 6
-
-    # Warm the shared trace memos once so neither mode pays recording.
-    with EvaluationEngine(workloads=workloads, scale=scn.scale) as engine:
-        stats_list = engine.simulate_batch(
-            [(base, w.name) for w in workloads])
-    instructions = sum(s.instructions for s in stats_list) * len(candidates)
-    cycles = sum(s.cycles for s in stats_list) * len(candidates)
-
-    tmp = tempfile.mkdtemp(prefix="repro-bench-race-")
-    measures = {}
-    records = {}
-    try:
-        for rep in range(repeats):
-            for mode in ("sync", "async"):
-                path = os.path.join(tmp, f"{mode}{rep}.sqlite")
-                store = open_store(path)
-                engine = EvaluationEngine(
-                    hw=hw, workloads=workloads, scale=scn.scale,
-                    store=store,
-                    executor=FabricExecutor(store, poll=0.005))
-                workers = [SkewedWorker(path, delay, poll=0.005, lease=30.0)
-                           for delay in delays]
-                threads = [threading.Thread(target=w.run, daemon=True)
-                           for w in workers]
-                for thread in threads:
-                    thread.start()
-                try:
-                    cache = TrialCache(AssignmentEvaluator(engine, base))
-                    t0 = time.perf_counter()
-                    result = race(
-                        candidates, instances, cache,
-                        batch_evaluate=cache.evaluate_batch,
-                        first_test=len(instances) + 1,  # no elimination
-                        mode=mode, lookahead=lookahead, timeout=600,
-                    )
-                    wall = time.perf_counter() - t0
-                finally:
-                    for worker in workers:
-                        worker.stop()
-                    for thread in threads:
-                        thread.join(timeout=60)
-                    engine.close()
-                    store.close()
-                busy = sum(w.busy_seconds for w in workers)
-                fraction = busy / (wall * len(workers))
-                prev = measures.get(mode)
-                if prev is None or wall < prev["wall"]:
-                    measures[mode] = {"wall": wall, "busy_fraction": fraction}
-                records[mode] = result.decision_record()
-        if records["async"] != records["sync"]:
-            raise RuntimeError("race bench: async decisions diverged from sync")
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    sync_m, async_m = measures["sync"], measures["async"]
-    return {
-        "instructions": instructions,
-        "cycles": cycles,
-        "wall_seconds": async_m["wall"],
-        "instructions_per_second": instructions / async_m["wall"],
-        "cycles_per_second": cycles / async_m["wall"],
-        "telemetry": {
-            "candidates": len(candidates),
-            "instances": len(instances),
-            "tasks": len(candidates) * len(instances),
-            "workers": len(delays),
-            "worker_delays_seconds": list(delays),
-            "lookahead": lookahead,
-            "sync_wall_seconds": sync_m["wall"],
-            "async_wall_seconds": async_m["wall"],
-            "sync_busy_fraction": sync_m["busy_fraction"],
-            "async_busy_fraction": async_m["busy_fraction"],
-            "saturation_gain":
-                async_m["busy_fraction"] / sync_m["busy_fraction"],
-            "wall_speedup": sync_m["wall"] / async_m["wall"],
-        },
     }
 
 
@@ -760,10 +296,13 @@ def _run_mmap(scn: BenchScenario, repeats: int) -> dict:
 
 
 _RUNNERS = {"simulate": _run_simulate, "trace": _run_trace,
-            "engine": _run_engine, "fabric": _run_fabric,
-            "service": _run_service, "dispatch": _run_dispatch,
-            "batch": _run_batch, "mmap": _run_mmap,
-            "race": _run_race}
+            "batch": _run_batch, "mmap": _run_mmap}
+
+#: Kinds earlier versions recorded. Their runs stay valid history in
+#: report files, but they no longer run: ``campaignbench/``'s
+#: ``campaign-fleet`` and ``sweep-http`` workloads measure those layers
+#: end to end.
+RETIRED_KINDS = ("engine", "fabric", "service", "dispatch", "race")
 
 
 def run_scenario(scn: BenchScenario, repeats: int = None) -> dict:
@@ -844,9 +383,7 @@ def validate_report(report) -> None:
                         "cycles", "wall_seconds", "instructions_per_second",
                         "cycles_per_second"):
                 need(key in scn, f"scenario.{key} missing")
-            need(scn["kind"] in ("simulate", "trace", "engine", "fabric",
-                                 "service", "dispatch", "batch", "mmap",
-                                 "race"),
+            need(scn["kind"] in _RUNNERS or scn["kind"] in RETIRED_KINDS,
                  f"scenario kind {scn['kind']!r} invalid")
             need(scn["wall_seconds"] > 0, "non-positive wall_seconds")
             need(scn["instructions"] > 0, "non-positive instructions")
@@ -920,7 +457,10 @@ def compare_runs(baseline_run: dict, run_entry: dict,
     Scenarios are matched by name with the ``-quick`` suffix stripped,
     so a CI quick run compares against a committed full-suite baseline.
     A scenario *regresses* when its instructions-per-second falls more
-    than ``max_regression`` (relative) below the baseline's. Returns
+    than ``max_regression`` (relative) below the baseline's. That rate
+    is each kind's headline: simulator or recording throughput for
+    ``simulate``/``trace``, effective per-candidate throughput for
+    ``batch`` and attach-side throughput for ``mmap``. Returns
     ``(rows, regressions)``: every matched scenario as a comparison
     dict, and the regressed subset. Scenarios present on only one side
     are skipped — a renamed or new scenario is not a regression.

@@ -553,24 +553,7 @@ def cmd_bench(args) -> int:
         if not scn["telemetry"]:
             continue
         t = scn["telemetry"]
-        if scn["kind"] == "fabric":
-            print(f"fabric dispatch ({scn['name']}): {t['tasks']} tasks, "
-                  f"{t['dispatch_overhead_ms_per_task']:.2f} ms/task overhead "
-                  f"(serial {t['serial_wall_seconds'] * 1e3:.1f} ms, "
-                  f"fabric {t['fabric_wall_seconds'] * 1e3:.1f} ms)")
-        elif scn["kind"] == "service":
-            print(f"service dispatch ({scn['name']}): {t['tasks']} tasks, "
-                  f"{t['dispatch_overhead_ms_per_task']:.2f} ms/task overhead "
-                  f"(serial {t['serial_wall_seconds'] * 1e3:.1f} ms, "
-                  f"service {t['service_wall_seconds'] * 1e3:.1f} ms)")
-        elif scn["kind"] == "dispatch":
-            print(f"dispatch throughput ({scn['name']}): {t['tasks']} tasks, "
-                  f"sqlite {t['sqlite_overhead_ms_per_task']:.2f} ms/task, "
-                  f"http {t['http_overhead_ms_per_task']:.2f} ms/task "
-                  f"(serial {t['serial_wall_seconds'] * 1e3:.1f} ms, "
-                  f"sqlite {t['sqlite_wall_seconds'] * 1e3:.1f} ms, "
-                  f"http {t['http_wall_seconds'] * 1e3:.1f} ms)")
-        elif scn["kind"] == "batch":
+        if scn["kind"] == "batch":
             print(f"batched race step ({scn['name']}): {t['candidates']} candidates, "
                   f"{t['speedup_vs_isolated']:.2f}x vs isolated passes, "
                   f"{t['speedup_vs_warm_serial']:.2f}x vs warm serial "
@@ -580,18 +563,6 @@ def cmd_bench(args) -> int:
                   f"attach {t['attach_wall_seconds'] * 1e3:.2f} ms vs "
                   f"record+persist {t['build_persist_wall_seconds'] * 1e3:.1f} ms "
                   f"({t['attach_speedup']:.0f}x)")
-        elif scn["kind"] == "race":
-            print(f"async race ({scn['name']}): {t['tasks']} tasks on "
-                  f"{t['workers']} skewed workers, busy fraction "
-                  f"{t['sync_busy_fraction']:.2f} sync -> "
-                  f"{t['async_busy_fraction']:.2f} async "
-                  f"({t['saturation_gain']:.2f}x saturation, "
-                  f"{t['wall_speedup']:.2f}x wall)")
-        else:
-            print(f"engine telemetry ({scn['name']}): "
-                  f"{t['requested_trials']} requested, "
-                  f"{t['unique_trials']} unique, "
-                  f"{t['sim_cache_hits']} cache hits")
     print(f"wrote {len(report['runs'])} run(s) to {path}")
     if args.json:
         import json as _json

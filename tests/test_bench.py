@@ -20,6 +20,7 @@ from repro.bench import (
     update_report_file,
     validate_report,
 )
+from repro.bench.harness import RETIRED_KINDS
 from repro.cli import main
 
 
@@ -33,8 +34,9 @@ class TestScenarioDeterminism:
             (s.kind, s.core, s.repeats, s.scale) for s in b
         ]
 
-    def test_full_suite_covers_table1_spec_trace_engine(self):
+    def test_full_suite_covers_every_kept_kind(self):
         suite = {s.name: s for s in full_suite()}
+        assert len(suite) == 9
         assert suite["table1-a53"].kind == "simulate"
         assert len(suite["table1-a53"].workloads) == 40
         assert len(suite["table1-a72"].workloads) == 40
@@ -46,24 +48,17 @@ class TestScenarioDeterminism:
         assert suite["spec-a53"].kind == "simulate"
         assert len(suite["spec-a53"].workloads) == 11
         assert suite["trace-record"].kind == "trace"
-        assert suite["engine-batch-a53"].kind == "engine"
-        assert suite["engine-batch-a53"].grid
         assert suite["batched-race-step"].kind == "batch"
         # 2x2x2 grid: the 8-candidate race step of the acceptance spec.
         axes = [len(values) for _key, values in suite["batched-race-step"].grid]
         assert axes == [2, 2, 2]
         assert suite["trace-mmap-attach"].kind == "mmap"
-        assert suite["service-dispatch"].kind == "service"
-        assert suite["async-race-saturation"].kind == "race"
-        assert suite["async-race-saturation"].grid
 
     def test_quick_suite_is_smaller(self):
         quick = quick_suite()
+        assert len(quick) == 8
         assert all(len(s.workloads) <= 10 for s in quick)
-        assert {s.kind for s in quick} == {
-            "simulate", "trace", "engine", "fabric", "batch", "mmap",
-            "service", "dispatch", "race",
-        }
+        assert {s.kind for s in quick} == {"simulate", "trace", "batch", "mmap"}
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown bench suite"):
@@ -101,46 +96,11 @@ class TestRunScenario:
         assert record["instructions"] > 0
         assert record["core"] is None
 
-    def test_engine_scenario_reports_telemetry(self):
-        scn = BenchScenario(
-            "t-engine", "engine", core="a53", workloads=("CCa", "MM"),
-            grid=(("l1d.size", (16384, 32768)),), repeats=1,
-        )
-        record = run_scenario(scn)
-        telemetry = record["telemetry"]
-        # 2 configs x 2 workloads submitted twice: second batch all hits.
-        assert telemetry["requested_trials"] == 8
-        assert telemetry["unique_trials"] == 4
-        assert telemetry["sim_cache_hits"] == 4
-
-    def test_fabric_scenario_reports_dispatch_overhead(self):
-        scn = BenchScenario(
-            "t-fabric", "fabric", core="a53", workloads=("CCa",),
-            grid=(("l1d.size", (16384, 32768)),), repeats=1, scale=0.5,
-        )
-        record = run_scenario(scn)
-        telemetry = record["telemetry"]
-        assert telemetry["tasks"] == 2  # 2 configs x 1 workload
-        assert telemetry["dispatch_overhead_ms_per_task"] >= 0
-        assert telemetry["fabric_wall_seconds"] >= telemetry["serial_wall_seconds"] \
-            or telemetry["dispatch_overhead_ms_per_task"] == 0
-        assert record["instructions"] > 0
-
-    def test_service_scenario_reports_dispatch_overhead(self):
-        scn = BenchScenario(
-            "t-service", "service", core="a53", workloads=("CCa",),
-            grid=(("l1d.size", (16384, 32768)),), repeats=1, scale=0.5,
-        )
-        record = run_scenario(scn)
-        telemetry = record["telemetry"]
-        assert telemetry["tasks"] == 2  # 2 configs x 1 workload
-        assert telemetry["dispatch_overhead_ms_per_task"] >= 0
-        assert telemetry["service_wall_seconds"] > 0
-        assert record["instructions"] > 0
-
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario kind"):
-            run_scenario(BenchScenario("x", "mystery"))
+        # "race" and "dispatch" are retired: valid in old reports, not runnable.
+        for kind in ("mystery", "race", "dispatch"):
+            with pytest.raises(ValueError, match="unknown scenario kind"):
+                run_scenario(BenchScenario("x", kind))
 
 
 def _tiny_run_entry(name="t"):
@@ -203,6 +163,10 @@ class TestReportFile:
         bad["runs"][0]["scenarios"][0]["wall_seconds"] = 0
         with pytest.raises(ValueError, match="wall_seconds"):
             validate_report(bad)
+        bad = json.loads(json.dumps(good))
+        bad["runs"][0]["scenarios"][0]["kind"] = "mystery"
+        with pytest.raises(ValueError, match="kind 'mystery' invalid"):
+            validate_report(bad)
 
     def test_repo_bench_report_is_valid(self):
         """The committed perf baseline must always parse and validate."""
@@ -216,6 +180,10 @@ class TestReportFile:
             report = load_report(report_path)
             names = {s["name"] for run in report["runs"] for s in run["scenarios"]}
             assert "table1-a53" in names
+        # History recorded by retired kinds stays valid.
+        report = load_report(os.path.join(root, "BENCH_vm.json"))
+        kinds = {s["kind"] for run in report["runs"] for s in run["scenarios"]}
+        assert kinds & set(RETIRED_KINDS)
 
     def test_committed_baseline_shows_speedup(self):
         """The recorded perf trajectory: the best recorded run ≥2x the
@@ -248,14 +216,13 @@ class TestBenchCli:
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
         assert "table1-a53" in out
-        assert "engine-batch-a53" in out
+        assert "trace-mmap-attach" in out
 
     def test_bench_quick_writes_valid_report(self, tmp_path, capsys):
         path = str(tmp_path / "BENCH_ci.json")
         assert main(["bench", "--quick", "--repeat", "1", "--out", path]) == 0
         out = capsys.readouterr().out
         assert "table1-a53-quick" in out
-        assert "engine telemetry" in out
         assert "batched race step" in out
         assert "trace attach" in out
         report = load_report(path)
@@ -280,20 +247,6 @@ class TestNewScenarioRunners:
         assert t["batched_wall_seconds"] > 0
         assert t["speedup_vs_isolated"] > 0
         assert t["speedup_vs_warm_serial"] > 0
-
-    def test_race_scenario_reports_saturation(self):
-        scn = BenchScenario("t-race", "race", core="a53",
-                            workloads=("CCa", "ED1"),
-                            grid=(("l1d.size", (16384, 32768)),),
-                            repeats=1, scale=0.25)
-        record = run_scenario(scn)
-        t = record["telemetry"]
-        assert t["candidates"] == 2 and t["instances"] == 2
-        assert t["tasks"] == 4 and t["workers"] == 2
-        assert 0 < t["sync_busy_fraction"] <= 1
-        assert 0 < t["async_busy_fraction"] <= 1
-        assert t["saturation_gain"] > 0 and t["wall_speedup"] > 0
-        assert record["instructions"] > 0
 
     def test_mmap_scenario_attaches_every_blob(self):
         scn = BenchScenario("t-mmap", "mmap", core="a53",
@@ -334,6 +287,13 @@ class TestCompareRuns:
         rows, regressions = compare_runs(base, cur)
         assert rows and rows[0]["name"] == "table1-a53"
         assert not regressions
+
+    def test_every_quick_scenario_is_gated(self):
+        base = _compare_entry([(s.name, 1000.0) for s in full_suite()])
+        cur = _compare_entry([(s.name, 800.0) for s in quick_suite()])
+        rows, regressions = compare_runs(base, cur, max_regression=0.15)
+        assert len(rows) == len(quick_suite())
+        assert regressions == rows
 
     def test_unmatched_scenarios_are_skipped(self):
         base = _compare_entry([("old-name", 1000.0)])

@@ -89,7 +89,7 @@ def patch_race_sleep(monkeypatch, sleep):
 class TestLoopsUseTheRule:
     """The loops that sleep via ``time.sleep`` follow the rule exactly."""
 
-    @pytest.mark.parametrize("deliver_at", [0.003, 0.2, 4.0, 29.0])
+    @pytest.mark.parametrize("deliver_at", [0.003, 0.2, 4.0, 29.0, 30.0])
     def test_fabric_executor_drain(self, monkeypatch, deliver_at):
         from repro.engine.executors import FabricExecutor, drain
 
@@ -98,15 +98,18 @@ class TestLoopsUseTheRule:
         ex = FabricExecutor.__new__(FabricExecutor)
         ex.poll_interval, ex.poll_cap = FLOOR, CAP
         results: dict = {}
+        polls = []
 
         def poll():
+            polls.append(sleep.clock)
             return {(0, 0): "stats"} if sleep.clock >= deliver_at else {}
 
         for got in drain(ex, poll, lambda: bool(results)):
             results.update(got)
         assert results == {(0, 0): "stats"}
-        expected, _polls = detect(deliver_at, Pacer(FLOOR, CAP))
+        expected, expected_polls = detect(deliver_at, Pacer(FLOOR, CAP))
         assert sleep.clock == pytest.approx(expected)
+        assert len(polls) == expected_polls
         assert sleep.clock - deliver_at <= max(FLOOR, 0.5 * deliver_at)
 
     @pytest.mark.parametrize("deliver_at", [0.003, 0.2, 4.0, 29.0])

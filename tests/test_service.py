@@ -407,69 +407,21 @@ class TestWireEfficiency:
 class TestAdaptivePollBackoff:
     """Idle result loops must stop hammering the queue/server."""
 
-    def _scripted_executor(self, deliver_after: float):
-        """A FabricExecutor whose poll is scripted against a fake clock."""
-        from repro.engine.executors import FabricExecutor
-
-        ex = FabricExecutor.__new__(FabricExecutor)
-        ex.poll_interval = 0.01
-        ex.poll_cap = 1.0
-        ex.timeout = None
-        ex.clock = 0.0
-        ex.polls = 0
-        ex.sleeps = []
-
-        def poll(handle):
-            ex.polls += 1
-            if ex.clock >= deliver_after:
-                return {(0, 0): "stats"}
-            return {}
-
-        ex.poll = poll
-        ex.submit = lambda groups, decoder, registry_items=None: "handle"
-        return ex
-
-    def test_empty_polls_back_off_exponentially(self, monkeypatch):
-        ex = self._scripted_executor(deliver_after=30.0)
-
-        def fake_sleep(seconds):
-            ex.sleeps.append(seconds)
-            ex.clock += seconds
-
-        monkeypatch.setattr("repro.engine.executors.time.sleep", fake_sleep)
-        groups = [(["cfg"], ("wl", 1.0, ()), None)]
-        out = ex.run(groups, decoder=None)
-        assert out == [["stats"]]
-        # 30 virtual seconds at a flat 10 ms poll would be ~3000
-        # requests; the doubling backoff needs ~40.
-        assert ex.polls < 50
-        assert max(ex.sleeps) == ex.poll_cap  # reached the ceiling
-        # Non-decreasing until the cap.
-        ramp = ex.sleeps[:ex.sleeps.index(ex.poll_cap) + 1]
-        assert ramp == sorted(ramp)
-
     def test_pace_resets_after_a_delivery(self, monkeypatch):
-        from repro.engine.executors import FabricExecutor
+        from repro.engine.executors import FabricExecutor, drain
 
         ex = FabricExecutor.__new__(FabricExecutor)
         ex.poll_interval = 0.01
         ex.poll_cap = 1.0
-        ex.timeout = None
-        ex.clock = 0.0
-        ex.sleeps = []
-        script = iter([{}, {}, {}, {(0, 0): "a"}, {}, {(0, 1): "b"}])
-        ex.poll = lambda handle: next(script)
-        ex.submit = lambda groups, decoder, registry_items=None: "handle"
-
-        def fake_sleep(seconds):
-            ex.sleeps.append(seconds)
-
-        monkeypatch.setattr("repro.engine.executors.time.sleep", fake_sleep)
-        groups = [(["c0", "c1"], ("wl", 1.0, ()), None)]
-        out = ex.run(groups, decoder=None)
-        assert out == [["a", "b"]]
-        # After the first delivery the pace fell back to poll_interval.
-        assert ex.sleeps[-1] == ex.poll_interval
+        sleeps = []
+        monkeypatch.setattr("repro.engine.executors.time.sleep", sleeps.append)
+        script = iter([{}] * 6 + [{(0, 0): "a"}, {}, {(0, 1): "b"}])
+        results = {}
+        for got in drain(ex, lambda: next(script), lambda: len(results) >= 2):
+            results.update(got)
+        assert results == {(0, 0): "a", (0, 1): "b"}
+        # The idle pace had climbed; the first delivery reset it.
+        assert sleeps[-1] == ex.poll_interval < sleeps[-2]
 
 
 class TestWorkerOverHttp:
