@@ -432,24 +432,21 @@ class EvaluationEngine:
         cost_fn = cost if cost is not None else cpi_error
         return cost_fn(stats, self.measure_hw(name))
 
-    def evaluate(self, config, name: str, cost=None) -> float:
-        """Cost of one pair (default: absolute relative CPI error)."""
-        return self.evaluate_batch([(config, name)], cost=cost)[0]
+    def evaluate(self, config, name: str) -> float:
+        """Cost of one pair: its absolute relative CPI error."""
+        return self.evaluate_batch([(config, name)])[0]
 
     def evaluate_batch(self, pairs, cost=None) -> list:
         """Costs for ``[(config, workload), ...]`` against hardware.
 
-        Costs are computed from cached stats, so racing the same runs
-        under a different cost function (the step-5 weighted rounds)
-        re-simulates nothing.
+        ``cost`` is as in :meth:`cost_of`. Costs are computed from
+        cached stats, so racing the same runs under a different cost
+        function (the step-5 weighted rounds) re-simulates nothing.
         """
         pairs = list(pairs)
-        cost_fn = cost if cost is not None else cpi_error
         stats_list = self.simulate_batch(pairs)
-        return [
-            cost_fn(stats, self.measure_hw(name))
-            for stats, (_config, name) in zip(stats_list, pairs)
-        ]
+        return [self.cost_of(stats, name, cost=cost)
+                for stats, (_config, name) in zip(stats_list, pairs)]
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -13,10 +13,14 @@ pairs. Two adapters bridge them:
   with an optional cost function and cost saturation; its batch method
   lets a whole race block execute as one parallel submission.
 
-Both also speak the non-blocking ``submit_batch``/``poll_batch``/
-``cancel_batch`` protocol the async race drives;
+Both speak the batch protocol the races drive: ``submit_batch`` opens a
+ticket, ``poll_batch`` delivers ``{index: cost}`` as trials finish and
+``cancel_batch`` withdraws pairs, while ``evaluate_batch`` is the
+blocking form. In :class:`TrialCache` a blocking batch is a ticket that
+is never handed to a backend, polled once: that poll is the one place
+the wrapped evaluator is called and the memo and store are written.
 :func:`find_batch_backend` is how a caller holding only evaluation
-callables finds it.
+callables finds the non-blocking half.
 
 Only ``repro.engine.keys`` is imported here (no engine/tuning modules),
 which keeps the tuning <-> engine import graph acyclic.
@@ -69,7 +73,11 @@ class TrialCache:
             raise ValueError("need evaluate and/or batch_evaluate")
         if batch_evaluate is None:
             batch_evaluate = getattr(evaluate, "evaluate_batch", None)
-        self._evaluate = evaluate
+        #: The wrapped evaluator's non-blocking half, or ``None``.
+        self._backend = find_batch_backend(evaluate, batch_evaluate)
+        if batch_evaluate is None:
+            def batch_evaluate(pairs):
+                return [evaluate(assignment, instance) for assignment, instance in pairs]
         self._batch = batch_evaluate
         self._store = store if context is not None else None
         self._context = context
@@ -92,16 +100,17 @@ class TrialCache:
     def _store_key(self, key: tuple) -> tuple:
         return ("cost", self._context, *key)
 
-    def _split(self, pairs) -> tuple:
-        """The prologue both batch entry points share.
+    def _open(self, pairs) -> "_TrialTicket":
+        """A ticket for ``pairs`` that no backend has seen yet.
 
         Counts the requested trials, answers what the memo or the store
         already holds (every key the memo misses is read with one
         ``get_costs`` — one store round trip per batch) and runs
-        duplicate keys once. Returns ``({index: cost}, {key:
-        [indices]})``: the answered pairs and the unique remainder.
+        duplicate keys once: ``todo_pairs`` holds one pair per unique
+        key still to compute.
         """
-        keys = [self.key(assignment, instance) for assignment, instance in pairs]
+        ticket = _TrialTicket(list(pairs))
+        keys = [self.key(assignment, instance) for assignment, instance in ticket.pairs]
         if self._store is not None:
             missing = {key: self._store_key(key) for key in keys
                        if key not in self._memo}
@@ -112,43 +121,28 @@ class TrialCache:
                     if value is not None:
                         self._memo[key] = value
                         self.store_hits += 1
-        ready: dict = {}    # index -> cost
-        pending: dict = {}  # key -> [indices]
-        self.requested_trials += len(pairs)
+        self.requested_trials += len(keys)
         for idx, key in enumerate(keys):
             if key in self._memo:
-                ready[idx] = self._memo[key]
+                ticket.ready[idx] = self._memo[key]
             else:
-                pending.setdefault(key, []).append(idx)
-        return ready, pending
+                ticket.pending.setdefault(key, []).append(idx)
+        ticket.todo_keys = list(ticket.pending)
+        ticket.todo_pairs = [ticket.pairs[ticket.pending[key][0]]
+                             for key in ticket.todo_keys]
+        return ticket
 
     def evaluate_batch(self, pairs) -> list:
         """Costs for ``[(assignment, instance), ...]``, aligned with ``pairs``.
 
-        Memo and store hits are answered directly; the unique remainder
-        runs as one block through the wrapped batch evaluator (or one
-        ``evaluate`` call per trial without one) and is memoised and,
-        with a store, persisted.
+        A ticket no backend sees, polled once: memo and store hits are
+        answered directly and the unique remainder runs as one block
+        through the wrapped batch evaluator (or one ``evaluate`` call
+        per trial without one).
         """
-        pairs = list(pairs)
-        ready, pending = self._split(pairs)
-        costs = [ready.get(idx) for idx in range(len(pairs))]
-        if pending:
-            todo = [pairs[indices[0]] for indices in pending.values()]
-            if self._batch is not None:
-                fresh = list(self._batch(todo))
-            else:
-                fresh = [self._evaluate(a, i) for a, i in todo]
-            self.unique_trials += len(todo)
-            for key, value in zip(pending, fresh):
-                self._memo[key] = value
-                for idx in pending[key]:
-                    costs[idx] = value
-            if self._store is not None:
-                self._store.put_cost_many(
-                    [(self._store_key(key), value) for key, value in zip(pending, fresh)]
-                )
-        return costs
+        ticket = self._open(pairs)
+        got = self.poll_batch(ticket)
+        return [got[idx] for idx in range(len(ticket.pairs))]
 
     # ------------------------------------------------------------------
     # Non-blocking batch protocol (the async race path)
@@ -159,39 +153,32 @@ class TrialCache:
         Memo and store hits resolve immediately (delivered by the first
         poll); the unique remainder goes to the wrapped evaluator's own
         ``submit_batch`` when it has one, else it is computed in one
-        block at the first poll — the synchronous-equivalent fallback.
+        block at the first poll, as :meth:`evaluate_batch` computes it.
         """
-        pairs = list(pairs)
-        ticket = _TrialTicket(pairs)
-        ticket.ready, ticket.pending = self._split(pairs)
-
-        if ticket.pending:
-            ticket.todo_keys = list(ticket.pending)
-            ticket.todo_pairs = [pairs[ticket.pending[key][0]]
-                                 for key in ticket.todo_keys]
-            backend = find_batch_backend(self._evaluate, self._batch)
-            if backend is not None:
-                ticket.backend = backend
-                ticket.backend_ticket = backend.submit_batch(ticket.todo_pairs)
+        ticket = self._open(pairs)
+        if ticket.todo_pairs and self._backend is not None:
+            ticket.backend_ticket = self._backend.submit_batch(ticket.todo_pairs)
         return ticket
 
     def poll_batch(self, ticket: "_TrialTicket") -> dict:
-        """``{pair index: cost}`` completed since the previous poll."""
+        """``{pair index: cost}`` completed since the previous poll.
+
+        A ticket handed to a backend is polled there; on any other, the
+        trials not yet delivered or cancelled run now through the
+        wrapped evaluator. New costs are memoised and, with a store,
+        persisted.
+        """
         out = dict(ticket.ready)
         ticket.ready = {}
         fresh: dict = {}  # todo position -> value
-        if ticket.backend is not None:
-            fresh = ticket.backend.poll_batch(ticket.backend_ticket)
-        elif ticket.todo_keys and not ticket.lazy_done:
-            ticket.lazy_done = True
+        if ticket.backend_ticket is not None:
+            fresh = self._backend.poll_batch(ticket.backend_ticket)
+        else:
             live = [pos for pos in range(len(ticket.todo_keys))
-                    if pos not in ticket.cancelled_pos]
+                    if pos not in ticket.delivered_pos
+                    and pos not in ticket.cancelled_pos]
             if live:
-                todo = [ticket.todo_pairs[pos] for pos in live]
-                if self._batch is not None:
-                    values = list(self._batch(todo))
-                else:
-                    values = [self._evaluate(a, i) for a, i in todo]
+                values = self._batch([ticket.todo_pairs[pos] for pos in live])
                 fresh = dict(zip(live, values))
 
         rows = []
@@ -223,12 +210,12 @@ class TrialCache:
             if all(idx in ticket.cancelled for idx in ticket.pending[key]):
                 ticket.cancelled_pos.add(pos)
                 downstream.append(pos)
-        if downstream and ticket.backend is not None:
-            ticket.backend.cancel_batch(ticket.backend_ticket, downstream)
+        if downstream and ticket.backend_ticket is not None:
+            self._backend.cancel_batch(ticket.backend_ticket, downstream)
 
 
 class _TrialTicket:
-    """In-flight state of one :meth:`TrialCache.submit_batch`."""
+    """In-flight state of one :class:`TrialCache` batch."""
 
     def __init__(self, pairs):
         self.pairs = pairs
@@ -236,9 +223,7 @@ class _TrialTicket:
         self.pending: dict = {}        # key -> [indices]
         self.todo_keys: list = []      # unique keys, submission order
         self.todo_pairs: list = []     # one representative pair per key
-        self.backend = None
-        self.backend_ticket = None
-        self.lazy_done = False         # fallback computed yet?
+        self.backend_ticket = None     # set once handed to the backend
         self.delivered_pos: set = set()
         self.cancelled: set = set()    # withdrawn pair indices
         self.cancelled_pos: set = set()
@@ -269,54 +254,42 @@ class AssignmentEvaluator:
     def __call__(self, assignment: dict, instance) -> float:
         return self.evaluate_batch([(assignment, instance)])[0]
 
+    def _configs(self, pairs) -> list:
+        """``(SimConfig, workload)`` pairs: each assignment applied to ``base_config``."""
+        return [(self.base_config.with_updates(assignment), instance)
+                for assignment, instance in pairs]
+
+    def _capped(self, cost: float) -> float:
+        return cost if self.saturation is None else min(cost, self.saturation)
+
     def evaluate_batch(self, pairs) -> list:
         """Costs for ``[(assignment, instance), ...]`` as one engine batch.
 
-        Each assignment is applied to ``base_config`` and the pairs go
-        to :meth:`~repro.engine.engine.EvaluationEngine.evaluate_batch`
+        The pairs go to
+        :meth:`~repro.engine.engine.EvaluationEngine.evaluate_batch`
         together; costs are capped at ``saturation`` when one is set.
         """
-        pairs = list(pairs)
-        configs = [
-            (self.base_config.with_updates(assignment), instance)
-            for assignment, instance in pairs
-        ]
-        costs = self.engine.evaluate_batch(configs, cost=self.cost)
-        if self.saturation is None:
-            return costs
-        return [min(c, self.saturation) for c in costs]
+        costs = self.engine.evaluate_batch(self._configs(pairs), cost=self.cost)
+        return [self._capped(cost) for cost in costs]
 
     # ------------------------------------------------------------------
     # Non-blocking batch protocol (the async race path)
     # ------------------------------------------------------------------
-    def submit_batch(self, pairs):
-        """Start a block of trials through the engine without waiting."""
+    def submit_batch(self, pairs) -> tuple:
+        """Start a block of trials through the engine without waiting.
+
+        The ticket is ``(engine ticket, workload names)``.
+        """
         pairs = list(pairs)
-        configs = [
-            (self.base_config.with_updates(assignment), instance)
-            for assignment, instance in pairs
-        ]
-        return _EvalTicket(
-            engine_ticket=self.engine.submit_batch(configs),
-            names=[instance for _assignment, instance in pairs],
-        )
+        return (self.engine.submit_batch(self._configs(pairs)),
+                [instance for _assignment, instance in pairs])
 
-    def poll_batch(self, ticket) -> dict:
+    def poll_batch(self, ticket: tuple) -> dict:
         """``{pair index: cost}`` for trials the engine finished."""
-        out = {}
-        for idx, stats in self.engine.poll_batch(ticket.engine_ticket).items():
-            cost = self.engine.cost_of(stats, ticket.names[idx], cost=self.cost)
-            out[idx] = cost if self.saturation is None else min(cost, self.saturation)
-        return out
+        engine_ticket, names = ticket
+        return {idx: self._capped(self.engine.cost_of(stats, names[idx], cost=self.cost))
+                for idx, stats in self.engine.poll_batch(engine_ticket).items()}
 
-    def cancel_batch(self, ticket, indices) -> None:
+    def cancel_batch(self, ticket: tuple, indices) -> None:
         """Withdraw trials by index (best-effort, via the engine)."""
-        self.engine.cancel_batch(ticket.engine_ticket, indices)
-
-
-class _EvalTicket:
-    """In-flight state of one :meth:`AssignmentEvaluator.submit_batch`."""
-
-    def __init__(self, engine_ticket, names):
-        self.engine_ticket = engine_ticket
-        self.names = names
+        self.engine.cancel_batch(ticket[0], indices)

@@ -29,7 +29,9 @@ The race can run in two modes with *identical decisions*:
   count or completion order.  Results computed for candidates that are
   eliminated before their step commits are simply ignored (and reported
   as ``wasted_evaluations``); in-flight work for eliminated candidates
-  is cancelled best-effort through the source.
+  is cancelled best-effort through the source.  That source is a
+  :class:`BatchSource` over the evaluators' batch protocol; plain
+  callables are wrapped in a :class:`~repro.engine.evaluator.TrialCache`.
 
 Both modes drive the same :class:`_RaceState` commit/eliminate state
 machine, which is what makes the equivalence hold by construction.
@@ -41,7 +43,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from repro.engine.evaluator import find_batch_backend
+from repro.engine.evaluator import TrialCache, find_batch_backend
 from repro.pacing import Pacer
 from repro.tuning import stats
 
@@ -226,44 +228,6 @@ class _RaceState:
             instances_used=self.instances_used,
             wasted_evaluations=wasted,
         )
-
-
-class FunctionRaceSource:
-    """Race source over plain ``evaluate``/``batch_evaluate`` callables.
-
-    ``submit`` buffers requests; ``poll`` computes every buffered,
-    non-cancelled request at once (in submission order).  This emulates
-    an always-ready fleet, so ``mode="async"`` works against any
-    evaluator — and the scheduler's decisions still match sync exactly
-    whenever the evaluator is a pure function of ``(config, instance)``.
-    """
-
-    def __init__(self, evaluate=None, batch_evaluate=None):
-        if evaluate is None and batch_evaluate is None:
-            raise ValueError("need evaluate and/or batch_evaluate")
-        self._evaluate = evaluate
-        self._batch = batch_evaluate
-        self._pending = []  # [(token, config, instance)]
-
-    def submit(self, requests) -> None:
-        """Accept ``(token, config, instance)`` work items."""
-        self._pending.extend(requests)
-
-    def poll(self) -> list:
-        """Return ``[(token, cost)]`` for newly completed work."""
-        if not self._pending:
-            return []
-        pending, self._pending = self._pending, []
-        if self._batch is not None:
-            costs = self._batch([(config, inst) for _, config, inst in pending])
-            return [(tok, cost) for (tok, _, _), cost in zip(pending, costs)]
-        return [(tok, self._evaluate(config, inst))
-                for tok, config, inst in pending]
-
-    def cancel(self, tokens) -> None:
-        """Drop still-buffered requests; already-polled work is done."""
-        drop = set(tokens)
-        self._pending = [p for p in self._pending if p[0] not in drop]
 
 
 class BatchSource:
@@ -471,12 +435,14 @@ def race(
     ``mode="async"`` replaces the per-step barrier with speculative
     scheduling (see :class:`AsyncRaceScheduler`): ``lookahead`` extra
     instance steps are kept in flight per alive candidate, and a
-    ``source`` streams completions back.  If no ``source`` is given one
-    is derived — a :class:`BatchSource` when the evaluator exposes the
-    non-blocking ``submit_batch`` protocol (``TrialCache``,
-    ``AssignmentEvaluator``), else a :class:`FunctionRaceSource` over
-    the plain callables.  For pure evaluators the decision sequence is
-    bit-identical to ``mode="sync"``.
+    ``source`` streams completions back.  If no ``source`` is given it
+    is a :class:`BatchSource` over the evaluator's own non-blocking
+    ``submit_batch`` protocol (``TrialCache``, ``AssignmentEvaluator``),
+    or, for plain callables, over a fresh
+    :class:`~repro.engine.evaluator.TrialCache` around them, which
+    computes each submitted block at its first poll.  For pure
+    evaluators the decision sequence is bit-identical to
+    ``mode="sync"``.
     """
     if not configs:
         raise ValueError("need at least one configuration to race")
@@ -504,10 +470,9 @@ def race(
     if mode == "async":
         if source is None:
             backend = find_batch_backend(evaluate, batch_evaluate)
-            if backend is not None:
-                source = BatchSource(backend)
-            else:
-                source = FunctionRaceSource(evaluate, batch_evaluate)
+            if backend is None:
+                backend = TrialCache(evaluate, batch_evaluate)
+            source = BatchSource(backend)
         scheduler = AsyncRaceScheduler(
             configs, instances, source, state,
             lookahead=lookahead, poll_interval=poll_interval, timeout=timeout)

@@ -208,8 +208,25 @@ class TestBatching:
             make_executor(2, "gpu")
 
 
+def _blocking(trials, pairs):
+    return trials.evaluate_batch(pairs)
+
+
+def _ticketed(trials, pairs):
+    ticket = trials.submit_batch(pairs)
+    got = trials.poll_batch(ticket)
+    return [got[idx] for idx in range(len(pairs))]
+
+
+#: TrialCache's two batch entry points; without a backend one poll
+#: completes a ticket, so both must answer and account identically.
+BATCH_PATHS = [pytest.param(_blocking, id="evaluate_batch"),
+               pytest.param(_ticketed, id="submit_poll")]
+
+
 class TestTrialCache:
-    def test_memoises_and_counts(self):
+    @pytest.mark.parametrize("run_batch", BATCH_PATHS)
+    def test_memoises_and_counts(self, run_batch):
         calls = []
 
         def evaluate(assignment, instance):
@@ -218,13 +235,15 @@ class TestTrialCache:
 
         trials = TrialCache(evaluate)
         assert trials({"x": 1}, 10) == 11
-        assert trials({"x": 1}, 10) == 11
-        assert trials.evaluate_batch([({"x": 1}, 10), ({"x": 2}, 10)]) == [11, 12]
-        assert len(calls) == 2
+        assert run_batch(trials, [({"x": 1}, 10)]) == [11]
+        assert run_batch(trials, [({"x": 1}, 10), ({"x": 2}, 10)]) == [11, 12]
+        assert calls == [((("x", 1),), 10), ((("x", 2),), 10)]
         assert trials.unique_trials == 2
         assert trials.requested_trials == 4
+        assert trials.store_hits == 0
 
-    def test_batch_deduplicates(self):
+    @pytest.mark.parametrize("run_batch", BATCH_PATHS)
+    def test_batch_deduplicates(self, run_batch):
         calls = []
 
         def batch(pairs):
@@ -232,11 +251,34 @@ class TestTrialCache:
             return [a["x"] for a, _ in pairs]
 
         trials = TrialCache(batch_evaluate=batch)
-        out = trials.evaluate_batch(
-            [({"x": 5}, "i"), ({"x": 5}, "i"), ({"x": 6}, "i")]
-        )
+        out = run_batch(trials, [({"x": 5}, "i"), ({"x": 5}, "i"), ({"x": 6}, "i")])
         assert out == [5, 5, 6]
         assert calls == [2]
+        assert trials.unique_trials == 2
+        assert trials.requested_trials == 3
+
+    def test_cancel_before_first_poll_skips_withdrawn_keys(self):
+        """Without a backend the remainder runs at the first poll, so a
+        key every requesting index withdrew never reaches the evaluator;
+        a key one live index still wants runs."""
+        calls = []
+
+        def batch(pairs):
+            calls.append([a["x"] for a, _ in pairs])
+            return [float(a["x"]) for a, _ in pairs]
+
+        trials = TrialCache(batch_evaluate=batch)
+        ticket = trials.submit_batch([({"x": 1}, "i"), ({"x": 2}, "i"),
+                                      ({"x": 2}, "i"), ({"x": 3}, "i")])
+        trials.cancel_batch(ticket, [0, 1])
+        assert trials.poll_batch(ticket) == {1: 2.0, 2: 2.0, 3: 3.0}
+        assert calls == [[2, 3]]
+        assert trials.poll_batch(ticket) == {}
+        assert calls == [[2, 3]]
+        assert trials.unique_trials == 2
+        # The withdrawn key was never memoised: a later batch computes it.
+        assert trials({"x": 1}, "i") == 1.0
+        assert calls == [[2, 3], [1]]
 
     def test_requires_an_evaluator(self):
         with pytest.raises(ValueError):

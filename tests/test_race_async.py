@@ -34,7 +34,7 @@ import pytest
 from repro.core.config import cortex_a53_public_config
 from repro.engine import EvaluationEngine, TrialCache
 from repro.engine.evaluator import AssignmentEvaluator
-from repro.tuning.race import FunctionRaceSource, race
+from repro.tuning.race import BatchSource, race
 from repro.workloads.microbench import get_microbenchmark
 
 TOKEN = "race-async-secret"
@@ -75,7 +75,8 @@ def _decisions(mode, source=None, lookahead=2, **kwargs):
 
 
 class TestAsyncMatchesSync:
-    """Decision-record equality over the FunctionRaceSource path."""
+    """Decision-record equality over the default async source for plain
+    callables, ``BatchSource(TrialCache(evaluate))``."""
 
     @pytest.mark.parametrize("lookahead", [0, 1, 2, 5, 30])
     def test_lookahead_never_changes_decisions(self, lookahead):
@@ -168,7 +169,7 @@ class ShuffledSource:
     """
 
     def __init__(self, evaluate, policy):
-        self.inner = FunctionRaceSource(evaluate)
+        self.inner = BatchSource(TrialCache(evaluate))
         self.policy = policy
         self.done = []  # [(token, cost)] computed, not yet released
         self.polls = 0

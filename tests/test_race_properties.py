@@ -27,7 +27,8 @@ import random
 
 import pytest
 
-from repro.tuning.race import FunctionRaceSource, race
+from repro.engine import TrialCache
+from repro.tuning.race import BatchSource, race
 from tests.test_race_async import ShuffledSource
 
 N_TRACES = 200
@@ -94,7 +95,7 @@ class _IgnoreCancelSource:
     results on the floor rather than commit them."""
 
     def __init__(self, evaluate):
-        self.inner = FunctionRaceSource(evaluate)
+        self.inner = BatchSource(TrialCache(evaluate))
         self.cancel_requests = 0
 
     def submit(self, requests):
@@ -185,7 +186,7 @@ def test_alive_set_only_shrinks():
         )
         scheduler = race_mod.AsyncRaceScheduler(
             trace["configs"], trace["instances"],
-            FunctionRaceSource(evaluate), state,
+            BatchSource(TrialCache(evaluate)), state,
             lookahead=trace["lookahead"], poll_interval=0.0, timeout=30)
         result = scheduler.run()
         if result.eliminated_after:

@@ -6,6 +6,7 @@ from repro.core.config import cortex_a53_public_config
 from repro.engine import EngineTelemetry, EvaluationEngine, TrialCache
 from repro.store import open_store
 from repro.workloads.microbench import get_microbenchmark
+from tests.test_engine import BATCH_PATHS
 
 NAMES = ("ED1", "CCh", "STc", "MD")
 WORKLOADS = [get_microbenchmark(n) for n in NAMES]
@@ -217,34 +218,33 @@ class TestBatchedStoreReads:
             assert out[1] is out[3] and out[2] is out[4] and out[0] is out[6]
             engine.close()
 
-    def test_trial_cache_batch_reads_the_store_once(self, monkeypatch):
+    @pytest.mark.parametrize("run_batch", BATCH_PATHS)
+    def test_trial_cache_batch_reads_the_store_once(self, monkeypatch, run_batch):
         calls = []
 
         def evaluate(assignment, instance):
             calls.append(assignment["a"])
             return float(assignment["a"])
 
+        def row(a):
+            return (("cost", "run/stage1", (("a", a),), "ED1"), float(a))
+
         with open_store("memory") as store:
+            writes = _count_calls(monkeypatch, store, "put_cost_many")
             first = TrialCache(evaluate, store=store, context="run/stage1")
-            first.evaluate_batch([({"a": 1}, "ED1"), ({"a": 2}, "ED1")])
+            assert run_batch(first, [({"a": 1}, "ED1"), ({"a": 2}, "ED1")]) == [1.0, 2.0]
+            assert writes == [[row(1), row(2)]]
             calls.clear()
 
             second = TrialCache(evaluate, store=store, context="run/stage1")
             reads = _count_calls(monkeypatch, store, "get_costs")
             _forbid(monkeypatch, store, "get_cost")
-            out = second.evaluate_batch([({"a": 1}, "ED1"), ({"a": 3}, "ED1"),
-                                         ({"a": 2}, "ED1"), ({"a": 3}, "ED1"),
-                                         ({"a": 1}, "ED1")])
+            out = run_batch(second, [({"a": 1}, "ED1"), ({"a": 3}, "ED1"),
+                                     ({"a": 2}, "ED1"), ({"a": 3}, "ED1"),
+                                     ({"a": 1}, "ED1")])
             assert out == [1.0, 3.0, 2.0, 3.0, 1.0]
             assert len(reads) == 1 and len(reads[0]) == 3
             assert calls == [3]
+            assert writes == [[row(1), row(2)], [row(3)]]
             assert second.store_hits == 2 and second.unique_trials == 1
             assert second.requested_trials == 5
-
-            # The non-blocking path shares the prologue: one read again,
-            # and only for the key neither memo nor store has seen.
-            third = TrialCache(evaluate, store=store, context="run/stage1")
-            ticket = third.submit_batch([({"a": 2}, "ED1"), ({"a": 4}, "ED1")])
-            assert len(reads) == 2 and len(reads[1]) == 2
-            assert third.poll_batch(ticket) == {0: 2.0, 1: 4.0}
-            assert third.store_hits == 1 and third.unique_trials == 1
