@@ -17,13 +17,15 @@ Semantics every implementation must honour (the queue module's
 docstring is the normative description):
 
 - **enqueue** is content-keyed and idempotent (``INSERT OR IGNORE``);
-- **claim** leases the oldest claimable task, dead-lettering tasks
-  whose claim budget is exhausted; ``claim_many`` leases up to ``n``
-  in one round trip (one transaction / one request), and ``wait``
-  turns an empty claim into a bounded block until work appears;
-- **heartbeat/complete/fail** are lease-guarded: they succeed only for
-  the current lease owner, so post-expiry stragglers are harmless;
-  ``complete_many`` acknowledges a batch in one round trip;
+- **claim_many** leases up to ``n`` of the oldest claimable tasks in
+  one round trip (one transaction / one request), dead-lettering tasks
+  whose claim budget is exhausted, and ``wait`` turns an empty claim
+  into a bounded block until work appears; ``claim`` is its one-task
+  form;
+- **heartbeat/complete_many/fail** are lease-guarded: they succeed only
+  for the current lease owner, so post-expiry stragglers are harmless;
+  ``complete_many`` acknowledges a batch in one round trip, and
+  ``complete`` is its one-task form;
 - **release** hands an unstarted lease back without burning an
   attempt — the clean exit for a pipelined worker holding a
   prefetched task it will never run;
@@ -71,20 +73,18 @@ class TaskQueue(abc.ABC):
     @abc.abstractmethod
     def claim(self, worker_id: str, lease_seconds: float = None,
               wait: float = None):
-        """Lease the oldest claimable task; ``None`` when nothing is.
-
-        ``wait`` (seconds) turns an empty claim into a bounded block:
-        the call returns as soon as a task becomes claimable, or
-        ``None`` after the wait elapses with the queue still empty.
-        """
+        """:meth:`claim_many` for one task: the task, or ``None``."""
 
     @abc.abstractmethod
-    def claim_many(self, worker_id: str, n: int,
-                   lease_seconds: float = None) -> list:
+    def claim_many(self, worker_id: str, n: int, lease_seconds: float = None,
+                   wait: float = None) -> list:
         """Lease up to ``n`` claimable tasks in one round trip.
 
-        Returns a (possibly empty) list of tasks, oldest first — never
-        blocks. One transaction (SQLite) or one request (HTTP).
+        Returns a (possibly empty) list of tasks, oldest first. One
+        transaction (SQLite) or one request (HTTP). ``wait`` (seconds)
+        turns an empty claim into a bounded block: the call returns as
+        soon as a task becomes claimable, with every task claimable by
+        then (up to ``n``), or ``[]`` once the wait elapses.
         """
 
     @abc.abstractmethod
@@ -93,15 +93,15 @@ class TaskQueue(abc.ABC):
 
     @abc.abstractmethod
     def complete(self, key: str, worker_id: str) -> bool:
-        """Mark a leased task done; ``False`` when the lease was lost."""
+        """:meth:`complete_many` for one task."""
 
+    @abc.abstractmethod
     def complete_many(self, completions) -> list:
-        """Mark ``[(key, worker_id), ...]`` done; one bool per entry.
+        """Mark ``[(key, worker_id), ...]`` done in one round trip.
 
-        Implementations override with a one-transaction / one-request
-        form; the default loops :meth:`complete`.
+        Each entry is lease-guarded on its own; one bool per entry
+        (``False`` when that lease was lost), in input order.
         """
-        return [self.complete(key, worker) for key, worker in completions]
 
     @abc.abstractmethod
     def release(self, key: str, worker_id: str) -> bool:

@@ -13,9 +13,9 @@ The protocol, in full:
   :func:`~repro.engine.keys.sim_key` rendered to text), inserted with
   ``INSERT OR IGNORE``: two drivers submitting the same experiment
   share one row, the way two engines submitting it share one result.
-- **claim** — a worker takes the oldest claimable task inside one
-  ``BEGIN IMMEDIATE`` transaction: state ``queued``, or state
-  ``leased`` whose lease has expired (expiry-driven requeue — a
+- **claim** — a worker takes up to ``n`` of the oldest claimable
+  tasks inside one ``BEGIN IMMEDIATE`` transaction: state ``queued``,
+  or state ``leased`` whose lease has expired (expiry-driven requeue — a
   SIGKILLed worker's task becomes claimable again after
   ``lease_seconds`` with no heartbeat). Claiming increments
   ``attempts``; a task claimed more than ``max_attempts`` times goes
@@ -60,7 +60,7 @@ DEFAULT_LEASE = 30.0
 #: Default claim budget per task before it is dead-lettered.
 DEFAULT_MAX_ATTEMPTS = 3
 
-#: ``claim(wait=)`` naps between ``data_version`` checks, seconds:
+#: ``claim_many(wait=)`` naps between ``data_version`` checks, seconds:
 #: the check is a shared-memory read, so the first naps are short.
 CLAIM_NAP_FLOOR = 0.001
 CLAIM_NAP_CAP = 0.05
@@ -108,7 +108,7 @@ class JobQueue(TaskQueue):
         # Wakes same-process long-poll claimers the moment work appears;
         # `_wakes` counts notifications so a wake landing between a
         # claim attempt and the nap is not lost. (Cross-process writers
-        # can't signal us: `claim(wait=)` watches `data_version` for them.)
+        # can't signal us: `claim_many(wait=)` watches `data_version` for them.)
         self._wakeup = threading.Condition()
         self._wakes = 0
         self._conn = connect_sqlite(self.path, busy_timeout=busy_timeout)
@@ -281,12 +281,20 @@ class JobQueue(TaskQueue):
     # Worker side
     # ------------------------------------------------------------------
     def claim(self, worker_id: str, lease_seconds: float = None,
-              wait: float = None, now: float = None):
-        """Lease the oldest claimable task; ``None`` when nothing is.
+              wait: float = None):
+        """:meth:`claim_many` for one task: the task, or ``None``."""
+        return next(iter(self.claim_many(worker_id, 1, lease_seconds, wait)), None)
+
+    def claim_many(self, worker_id: str, n: int, lease_seconds: float = None,
+                   wait: float = None) -> list:
+        """Lease up to ``n`` claimable tasks in one transaction.
 
         Claimable: ``queued``, or ``leased`` with an expired lease (the
-        crash-recovery path). A candidate whose claim budget is spent is
-        dead-lettered here instead of being handed out again.
+        crash-recovery path). One ``BEGIN IMMEDIATE`` covers the whole
+        batch, so the per-claim transaction overhead (the dominant
+        SQLite dispatch cost) is paid once, and a candidate whose claim
+        budget is spent is dead-lettered inline instead of being handed
+        out again.
 
         ``wait`` bounds a block on an empty queue, and the block takes
         no write lock: between naps (paced by
@@ -299,6 +307,8 @@ class JobQueue(TaskQueue):
         from another process is picked up at most ``max(1 ms, half the
         time already waited)`` late, and never more than 50 ms late.
         """
+        if n <= 0:
+            return []
         lease = self.lease_seconds if lease_seconds is None else float(lease_seconds)
         deadline = None if not wait else time.monotonic() + float(wait)
         pacer = Pacer(CLAIM_NAP_FLOOR, CLAIM_NAP_CAP)
@@ -308,25 +318,22 @@ class JobQueue(TaskQueue):
             with self._lock:
                 version = self._data_version()
                 tasks = retry_busy(
-                    lambda: self._claim_batch(worker_id, 1, lease, now))
-                if tasks:
-                    return tasks[0]
+                    lambda: self._claim_batch(worker_id, int(n), lease))
+                if tasks or deadline is None:
+                    return tasks
                 expires = self._next_expiry()
-            if deadline is None:
-                return None
             # Idle until a same-process writer notifies, a peer commits
             # or a seen lease lapses; only then claim again.
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    return None
+                    return []
                 with self._wakeup:
                     if self._wakes == wakes:
                         self._wakeup.wait(min(pacer.nap(), remaining))
                     if self._wakes != wakes:
                         break
-                if expires is not None and (
-                        time.time() if now is None else now) >= expires:
+                if expires is not None and time.time() >= expires:
                     break
                 with self._lock:
                     if self._data_version() != version:
@@ -342,24 +349,8 @@ class JobQueue(TaskQueue):
             "SELECT MIN(lease_expires) FROM fabric_tasks WHERE state='leased'"
         ).fetchone()[0])
 
-    def claim_many(self, worker_id: str, n: int,
-                   lease_seconds: float = None) -> list:
-        """Lease up to ``n`` claimable tasks in one transaction.
-
-        One ``BEGIN IMMEDIATE`` covers the whole batch: the per-claim
-        transaction overhead (the dominant SQLite dispatch cost) is
-        paid once, and dead-lettering of budget-exhausted candidates
-        happens inline exactly as in :meth:`claim`.
-        """
-        if n <= 0:
-            return []
-        lease = self.lease_seconds if lease_seconds is None else float(lease_seconds)
-        with self._lock:
-            return retry_busy(lambda: self._claim_batch(worker_id, int(n), lease))
-
-    def _claim_batch(self, worker_id: str, n: int, lease: float,
-                     now: float = None) -> list:
-        t = time.time() if now is None else now
+    def _claim_batch(self, worker_id: str, n: int, lease: float) -> list:
+        t = time.time()
         tasks: list = []
         self._conn.execute("BEGIN IMMEDIATE")
         try:
@@ -412,29 +403,19 @@ class JobQueue(TaskQueue):
             ).rowcount) > 0
 
     def complete(self, key: str, worker_id: str) -> bool:
-        """Mark a leased task done; ``False`` when the lease was lost.
-
-        The guard (``worker=?`` on both the leased and the done state)
-        is what makes a post-expiry straggler harmless *and* honest:
-        its content-addressed result write already happened
-        idempotently, and this call reports that the fabric no longer
-        considers it the owner — while the actual finisher may repeat
-        its own ``complete`` idempotently.
-        """
-        now = time.time()
-        with self._lock:
-            return retry_busy(lambda: self._conn.execute(
-                "UPDATE fabric_tasks SET state='done',"
-                " lease_expires=NULL, error=NULL, updated=?"
-                " WHERE key=? AND worker=? AND state IN ('leased', 'done')",
-                (now, key, worker_id),
-            ).rowcount) > 0
+        """:meth:`complete_many` for one task."""
+        return self.complete_many([(key, worker_id)])[0]
 
     def complete_many(self, completions) -> list:
         """Mark ``[(key, worker_id), ...]`` done in one transaction.
 
-        Each entry gets the same lease guard as :meth:`complete`;
-        the per-entry bools come back in input order.
+        Each entry is guarded on its own (``worker=?`` on both the
+        leased and the done state), which is what makes a post-expiry
+        straggler harmless *and* honest: its content-addressed result
+        write already happened idempotently, and its ``False`` reports
+        that the fabric no longer considers it the owner — while the
+        actual finisher may repeat its own completion idempotently.
+        The per-entry bools come back in input order.
         """
         completions = list(completions)
         if not completions:
@@ -523,7 +504,7 @@ class JobQueue(TaskQueue):
         return state
 
     def _notify(self) -> None:
-        """Wake same-process ``claim(wait=)`` blockers: work appeared."""
+        """Wake same-process ``claim_many(wait=)`` blockers: work appeared."""
         with self._wakeup:
             self._wakes += 1
             self._wakeup.notify_all()

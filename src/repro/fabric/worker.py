@@ -28,14 +28,14 @@ Lifecycle:
    ``drain`` finding the queue empty, or :meth:`FabricWorker.stop`.
 
 The loop is *pipelined*: while the main thread simulates, a dispatcher
-thread prefetch-claims the next task (payload already decoded by the
-queue layer) and flushes finished completions through
-``complete_many`` — so claim and completion round trips overlap
-compute instead of serialising with it. Execution itself stays on the
-main thread (subclasses override :meth:`FabricWorker._execute` and the
-engine caches are not thread-safe). On a clean exit, a
-prefetched-but-unstarted task is handed back via ``release`` with its
-claim attempt refunded.
+thread prefetch-claims the next tasks (payloads decoded and store
+checks pre-answered as they are claimed) and flushes finished
+completions through ``complete_many`` — so claim and completion round
+trips overlap compute instead of serialising with it. Execution itself
+stays on the main thread (subclasses override
+:meth:`FabricWorker._execute` and the engine caches are not
+thread-safe). On a clean exit, a prefetched-but-unstarted task is
+handed back via ``release`` with its claim attempt refunded.
 
 A SIGKILL at any point needs no cleanup: the heartbeat stops, every
 held lease (active and prefetched) expires, the tasks are claimed
@@ -293,35 +293,42 @@ class FabricWorker:
                     total[name] = total.get(name, 0) + value
         return total
 
-    def _prefetch_many(self, tasks, rows=None) -> None:
-        """Decode just-claimed tasks off the critical path.
+    def _claim(self, n: int, wait: float = None) -> list:
+        """Lease up to ``n`` tasks, each decoded and store-prechecked.
 
-        Runs on the dispatcher thread between claiming tasks and
-        handing them to the main loop: rebuilds each payload's
-        :class:`SimConfig` and pre-answers the engine's store checks
-        (was this key already computed elsewhere?) with one batched
-        ``get_many`` — or with ``rows`` when the claim itself carried
-        the precheck (``claim_many_prechecked``) — so the execute
-        thread starts simulating without a parse or a round trip.
-        Best-effort: any failure here simply leaves the main loop to
-        do the work — and raise its own, properly-attributed error.
+        The one way this worker claims: the dispatcher's prefetch
+        (``n`` = its budget, no wait) and the main loop's idle
+        long-poll (``n`` = 1, ``wait`` = ``poll``) both come here. Each
+        claimed simulation's :class:`SimConfig` is rebuilt and the
+        engine's store check (was this key already computed
+        elsewhere?) pre-answered — by the claim request itself over
+        HTTP (``claim_many_prechecked``), by one batched ``get_many``
+        on a local queue — so the execute thread starts simulating
+        without a parse or a round trip. Best-effort: any failure here
+        simply leaves the main loop to do the work — and raise its
+        own, properly-attributed error.
         """
-        tasks = [task for task in tasks if task.kind == KIND_SIMULATE]
-        if not tasks:
-            return
+        fused = getattr(self.queue, "claim_many_prechecked", None)
+        if fused is not None:
+            tasks, rows = fused(self.worker_id, n, wait=wait)
+        else:
+            tasks, rows = self.queue.claim_many(self.worker_id, n, wait=wait), None
+        sims = [task for task in tasks if task.kind == KIND_SIMULATE]
+        if not sims:
+            return tasks
         try:
             decoded = [(task.key, rebuild_config(task.payload["config"]))
-                       for task in tasks]
+                       for task in sims]
+            keys = [task.key for task in sims]
             if rows is None:
-                rows = self.store.backend.get_many(
-                    "sim_results", [task.key for task in tasks])
-            else:
-                rows = {task.key: rows.get(task.key) for task in tasks}
+                rows = self.store.backend.get_many("sim_results", keys)
+            rows = {key: rows.get(key) for key in keys}
         except Exception:  # noqa: BLE001 — execute path re-raises for real
-            return
+            return tasks
         with self._io_cv:
             self._decoded.update(decoded)
             self._precheck.update(rows)
+        return tasks
 
     # ------------------------------------------------------------------
     # Write-behind result buffer (see :class:`_WriteBehindStore`)
@@ -400,7 +407,7 @@ class FabricWorker:
         engine = self._engine_for(payload["scale"], payload["decoder"])
         with self._io_cv:
             config = self._decoded.pop(task.key, None)
-        if config is None:  # not prefetch-decoded (direct claim path)
+        if config is None:  # the claim-time decode failed; fail here
             config = rebuild_config(payload["config"])
         workload = payload["workload"]
         engine.overrides[workload] = dict(payload.get("overrides") or {})
@@ -499,7 +506,7 @@ class FabricWorker:
 
     def _next_task(self) -> object:
         """The next task to execute: prefetched if available, else a
-        direct claim (long-polling ``poll`` seconds unless draining)."""
+        claim of one (long-polling ``poll`` seconds unless draining)."""
         deadline = time.monotonic() + 0.2
         with self._io_cv:
             while (not self._pending and self._want_prefetch
@@ -515,8 +522,8 @@ class FabricWorker:
             self._want_prefetch = False
         if self._stop.is_set():
             return None
-        return self.queue.claim(self.worker_id,
-                                wait=None if self.drain else self.poll)
+        tasks = self._claim(1, None if self.drain else self.poll)
+        return tasks[0] if tasks else None
 
     #: Completion acks flush as soon as this many pile up ...
     FLUSH_BATCH = 4
@@ -572,13 +579,7 @@ class FabricWorker:
                 if size and oldest is None:
                     oldest = time.monotonic()
                 if want:
-                    fused = getattr(self.queue, "claim_many_prechecked", None)
-                    if fused is not None:
-                        tasks, rows = fused(self.worker_id, budget)
-                    else:
-                        tasks = self.queue.claim_many(self.worker_id, budget)
-                        rows = None
-                    self._prefetch_many(tasks, rows)
+                    tasks = self._claim(budget)
                     dry = len(tasks) < budget
                     with self._io_cv:
                         self._pending.extend(tasks)

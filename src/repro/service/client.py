@@ -52,6 +52,7 @@ from repro.service.protocol import (
     COMPRESS_ENCODING,
     COMPRESS_THRESHOLD,
     MAX_BODY,
+    MAX_CLAIM_COUNT,
     WIRE_HEADER,
     WIRE_VERSION,
     BodyTooLarge,
@@ -385,15 +386,38 @@ class HttpQueue(TaskQueue):
     # ------------------------------------------------------------------
     def claim(self, worker_id: str, lease_seconds: float = None,
               wait: float = None):
-        """Lease the oldest claimable task; ``None`` when nothing is.
+        """:meth:`claim_many` for one task: the task, or ``None``."""
+        return next(iter(self.claim_many(worker_id, 1, lease_seconds, wait)), None)
 
-        ``wait`` long-polls: the server parks the request until work
-        appears (or the wait elapses), so an idle worker holds one
-        open request instead of sending a poll stream. The socket
-        timeout is raised to ``wait`` plus margin for the parked call.
+    def claim_many(self, worker_id: str, n: int, lease_seconds: float = None,
+                   wait: float = None) -> list:
+        """Lease up to ``n`` tasks in one request (see
+        :meth:`claim_many_prechecked`)."""
+        return self.claim_many_prechecked(
+            worker_id, n, lease_seconds, wait, precheck=False)[0]
+
+    def claim_many_prechecked(self, worker_id: str, n: int,
+                              lease_seconds: float = None,
+                              wait: float = None, precheck: bool = True):
+        """:meth:`claim_many` plus the store precheck, one round trip.
+
+        Returns ``(tasks, rows)`` where ``rows`` maps each claimed
+        task's key to its already-stored result (or ``None``) — the
+        same shape as a ``sim_results`` ``get_many`` over those keys.
+        Workers use this to pre-answer the engine's cache check
+        without a second request per claim.
+
+        At most :data:`~repro.service.protocol.MAX_CLAIM_COUNT` tasks
+        are asked for. ``wait`` long-polls: the server parks the
+        request until work appears (or the wait elapses), so an idle
+        worker holds one open request instead of sending a poll
+        stream. The socket timeout is raised to ``wait`` plus margin
+        for the parked call.
         """
+        if n <= 0:
+            return [], {}
         payload = {
-            "worker": worker_id,
+            "worker": worker_id, "count": min(int(n), MAX_CLAIM_COUNT),
             "lease_seconds": lease_seconds
             if lease_seconds is not None else self.lease_seconds,
         }
@@ -401,42 +425,10 @@ class HttpQueue(TaskQueue):
         if wait:
             payload["wait"] = float(wait)
             timeout = float(wait) + self.client.timeout
-        reply = self.client.call("POST", "queue/claim", payload,
-                                 timeout=timeout)
-        row = reply["task"]
-        if row is None:
-            return None
-        return Task(key=row["key"], kind=row["kind"], payload=row["payload"],
-                    attempts=row["attempts"], max_attempts=row["max_attempts"])
-
-    def claim_many(self, worker_id: str, n: int,
-                   lease_seconds: float = None) -> list:
-        """Lease up to ``n`` tasks in one request (never blocks)."""
-        tasks, _rows = self.claim_many_prechecked(
-            worker_id, n, lease_seconds=lease_seconds, precheck=False)
-        return tasks
-
-    def claim_many_prechecked(self, worker_id: str, n: int,
-                              lease_seconds: float = None,
-                              precheck: bool = True):
-        """:meth:`claim_many` plus the store precheck, one round trip.
-
-        Returns ``(tasks, rows)`` where ``rows`` maps each claimed
-        task's key to its already-stored result (or ``None``) — the
-        same shape as a ``sim_results`` ``get_many`` over those keys.
-        Pipelined workers use this to prefetch the engine's cache
-        check without a second request per claim batch.
-        """
-        if n <= 0:
-            return [], {}
-        payload = {
-            "worker": worker_id, "count": int(n),
-            "lease_seconds": lease_seconds
-            if lease_seconds is not None else self.lease_seconds,
-        }
         if precheck:
             payload["precheck"] = True
-        reply = self.client.call("POST", "queue/claim", payload)
+        reply = self.client.call("POST", "queue/claim", payload,
+                                 timeout=timeout)
         tasks = [Task(key=row["key"], kind=row["kind"],
                       payload=row["payload"], attempts=row["attempts"],
                       max_attempts=row["max_attempts"])
@@ -453,15 +445,12 @@ class HttpQueue(TaskQueue):
         return reply["ok"]
 
     def complete(self, key: str, worker_id: str) -> bool:
-        """Mark a leased task done; ``False`` when the lease was lost."""
-        reply = self.client.call("POST", "queue/complete", {
-            "completions": [{"key": key, "worker": worker_id}],
-        })
-        return reply["ok"][0]
+        """:meth:`complete_many` for one task."""
+        return self.complete_many([(key, worker_id)])[0]
 
     def complete_many(self, completions) -> list:
-        """Batched :meth:`complete`: ``[(key, worker_id), ...]`` in one
-        request; returns the per-item ``bool`` list."""
+        """Mark ``[(key, worker_id), ...]`` done in one request; returns
+        the per-item ``bool`` list."""
         return self.complete_many_with_results(completions, [])
 
     def complete_many_with_results(self, completions, results) -> list:
@@ -604,8 +593,7 @@ class HttpBackend:
 
     def get(self, table: str, key: str):
         """Fetch one value (``None`` when absent)."""
-        return self.client.call("POST", "store/get",
-                                {"table": table, "key": key})["value"]
+        return self.get_many(table, [key])[key]
 
     def get_many(self, table: str, keys) -> dict:
         """Fetch ``{key: value_or_None}`` for many keys in one request."""

@@ -23,13 +23,18 @@ Everything both sides must agree on lives here, so the server
   ``Retry-After``, 500 with the exception text).
 - **Batching.** ``queue/enqueue`` and ``queue/complete`` accept lists,
   so a driver submits a whole race step in one request and a worker
-  can acknowledge several tasks per round trip; ``queue/claim`` takes
-  a ``count`` and answers with a ``tasks`` list, and ``store/get-many``
-  fetches K results in one request.
-- **Long-poll.** ``queue/claim`` accepts a ``wait`` (seconds, capped
-  at :data:`MAX_CLAIM_WAIT`); the server parks the request on a
-  condition variable and wakes it the moment claimable work appears,
-  so an idle fleet costs one held connection instead of a poll storm.
+  acknowledges several tasks per round trip (in one transaction);
+  ``store/get-many`` is the one store read, K keys per request.
+- **Claim.** ``queue/claim`` takes a string ``worker`` and a ``count``
+  from 1 to :data:`MAX_CLAIM_COUNT`, and always answers with a
+  ``tasks`` list (empty when nothing was claimable). With ``precheck``
+  the reply also carries ``results``: each claimed key's stored
+  ``sim_results`` row, or ``null``. Malformed claim fields get a 400.
+- **Long-poll.** ``queue/claim`` accepts a non-negative ``wait``
+  (seconds, capped at :data:`MAX_CLAIM_WAIT`); the server parks the
+  request on a condition variable and wakes it the moment claimable
+  work appears, so an idle fleet costs one held connection instead of
+  a poll storm.
 - **Compression.** JSON bodies above :data:`COMPRESS_THRESHOLD` bytes
   are zlib-deflated in either direction, flagged with
   ``Content-Encoding: deflate``. Clients advertise support via
@@ -58,8 +63,10 @@ import zlib
 #: Bump when request/response shapes change incompatibly. Checked per
 #: request (header) and at handshake. Version 2: batched claim
 #: (``count``/``tasks``), long-poll ``wait``, ``queue/release``,
-#: ``store/get-many``, deflate body compression.
-WIRE_VERSION = 2
+#: ``store/get-many``, deflate body compression. Version 3: one claim
+#: reply shape (``tasks``, never ``task``), ``count`` required and
+#: bounded, claim input validated, no ``store/get``.
+WIRE_VERSION = 3
 
 #: URL prefix every endpoint lives under.
 API_PREFIX = "/api/v1"
@@ -103,6 +110,11 @@ class BodyTooLarge(ValueError):
 #: seconds. Keeps parked claim threads bounded and lets clients size
 #: their socket timeout as ``wait + margin`` safely.
 MAX_CLAIM_WAIT = 30.0
+
+#: Most tasks one ``queue/claim`` may lease. Workers prefetch far fewer;
+#: the bound keeps one request from leasing (and stranding, should its
+#: worker die) an unbounded share of the queue.
+MAX_CLAIM_COUNT = 64
 
 
 def resolve_token(token: str = None) -> str:

@@ -56,6 +56,7 @@ from repro.service.protocol import (
     COMPRESS_ENCODING,
     COMPRESS_THRESHOLD,
     MAX_BODY,
+    MAX_CLAIM_COUNT,
     MAX_CLAIM_WAIT,
     RETRY_AFTER_SECONDS,
     WIRE_HEADER,
@@ -321,7 +322,6 @@ class ExperimentService:
             ("POST", "workers/register"): self._ep_register,
             ("POST", "workers/beat"): self._ep_beat,
             ("GET", "workers"): self._ep_workers,
-            ("POST", "store/get"): self._ep_store_get,
             ("POST", "store/get-many"): self._ep_store_get_many,
             ("POST", "store/put-many"): self._ep_store_put_many,
             ("POST", "store/delete"): self._ep_store_delete,
@@ -361,39 +361,35 @@ class ExperimentService:
 
         The long-poll path rides the queue's own condition variable:
         every enqueue/requeue/release through this service wakes parked
-        claimers immediately, and ``JobQueue.claim`` watches SQLite's
-        ``data_version`` for writers that bypass the service and touch
-        the SQLite file directly.
+        claimers immediately, and ``JobQueue.claim_many`` watches
+        SQLite's ``data_version`` for writers that bypass the service
+        and touch the SQLite file directly.
         """
-        worker = payload["worker"]
-        lease = payload.get("lease_seconds")
-        count = max(1, int(payload.get("count") or 1))
-        wait = min(float(payload.get("wait") or 0.0), MAX_CLAIM_WAIT)
-        tasks = self.queue.claim_many(worker, count, lease_seconds=lease)
-        if not tasks and wait > 0:
-            first = self.queue.claim(worker, lease_seconds=lease, wait=wait)
-            if first is not None:
-                tasks = [first]
-                if count > 1:
-                    tasks += self.queue.claim_many(worker, count - 1,
-                                                   lease_seconds=lease)
-        rows = [{
+        worker, count = payload.get("worker"), payload.get("count")
+        wait = payload.get("wait", 0)
+        if not isinstance(worker, str):
+            raise _ServiceError(400, "queue/claim needs a string 'worker'")
+        if type(count) is not int or not 1 <= count <= MAX_CLAIM_COUNT:
+            raise _ServiceError(400, f"queue/claim 'count' must be an integer "
+                                     f"from 1 to {MAX_CLAIM_COUNT}")
+        if type(wait) not in (int, float) or not wait >= 0:
+            raise _ServiceError(400, "queue/claim 'wait' must be a "
+                                     "non-negative number of seconds")
+        tasks = self.queue.claim_many(worker, count,
+                                      payload.get("lease_seconds"),
+                                      min(wait, MAX_CLAIM_WAIT))
+        reply = {"tasks": [{
             "key": task.key, "kind": task.kind, "payload": task.payload,
             "attempts": task.attempts, "max_attempts": task.max_attempts,
-        } for task in tasks]
-        if "count" in payload:
-            reply = {"tasks": rows}
-            if payload.get("precheck") and tasks:
-                # Piggyback the store precheck on the claim: answer "was
-                # this key already computed?" for every claimed task in
-                # the same round trip, so pipelined workers skip their
-                # separate store/get-many request per prefetch batch.
-                get = self.store.backend.get
-                reply["results"] = {
-                    task.key: get("sim_results", task.key) for task in tasks
-                }
-            return reply
-        return {"task": rows[0] if rows else None}
+        } for task in tasks]}
+        if payload.get("precheck") and tasks:
+            # Piggyback the store precheck on the claim: answer "was
+            # this key already computed?" for every claimed task in
+            # the same round trip, so workers skip a separate
+            # store/get-many request per claim.
+            reply["results"] = self.store.backend.get_many(
+                "sim_results", [task.key for task in tasks])
+        return reply
 
     def _ep_heartbeat(self, payload: dict) -> dict:
         ok = self.queue.heartbeat(
@@ -409,10 +405,10 @@ class ExperimentService:
         if rows:
             self.store.backend.put_many(
                 "sim_results", [(key, value) for key, value in rows])
-        return {"ok": [
-            self.queue.complete(item["key"], item["worker"])
+        return {"ok": self.queue.complete_many([
+            (item["key"], item["worker"])
             for item in payload.get("completions", [])
-        ]}
+        ])}
 
     def _ep_release(self, payload: dict) -> dict:
         return {"ok": self.queue.release(payload["key"], payload["worker"])}
@@ -478,15 +474,9 @@ class ExperimentService:
                                      f"one of {', '.join(TABLES)}")
         return table
 
-    def _ep_store_get(self, payload: dict) -> dict:
-        return {"value": self.store.backend.get(self._table(payload),
-                                                payload["key"])}
-
     def _ep_store_get_many(self, payload: dict) -> dict:
-        table = self._table(payload)
-        get = self.store.backend.get
-        return {"values": {key: get(table, key)
-                           for key in payload.get("keys", [])}}
+        return {"values": self.store.backend.get_many(
+            self._table(payload), payload.get("keys", []))}
 
     def _ep_store_put_many(self, payload: dict) -> dict:
         written = self.store.backend.put_many(

@@ -213,6 +213,12 @@ class SqliteBackend:
         with self._lock:
             for start in range(0, len(keys), 500):
                 chunk = keys[start:start + 500]
+                # Pad the IN list to a power of two: every distinct
+                # length is one more prepared statement in the
+                # connection's statement cache, which a server answering
+                # polls of every size would otherwise fill.
+                chunk += chunk[-1:] * ((1 << (len(chunk) - 1).bit_length())
+                                       - len(chunk))
                 marks = ",".join("?" for _ in chunk)
                 rows = retry_busy(lambda c=chunk, m=marks: list(
                     self._conn.execute(

@@ -337,8 +337,27 @@ class TestRelease:
         assert queue.claim("w2").key == tasks[1].key
 
 
+def _claim_during(queue, feed, claim):
+    """Run ``claim()`` while a peer handle runs ``feed(peer)`` 0.15 s in;
+    returns the claim's result and how long the claim took."""
+    import threading
+
+    peer = queue.conformance_peer()
+    try:
+        feeder = threading.Timer(0.15, lambda: feed(peer))
+        feeder.start()
+        t0 = time.monotonic()
+        got = claim()
+        elapsed = time.monotonic() - t0
+        feeder.join()
+    finally:
+        peer.close()
+    return got, elapsed
+
+
 class TestLongPoll:
-    """``claim(wait=...)``: the request parks until work appears."""
+    """``claim_many(wait=...)`` and ``claim(wait=...)``: the request
+    parks until work appears."""
 
     def test_wait_returns_immediately_when_work_is_ready(self, queue):
         queue.enqueue(_tasks(1))
@@ -352,41 +371,49 @@ class TestLongPoll:
         elapsed = time.monotonic() - t0
         assert 0.15 <= elapsed < 5.0
 
-    def test_wait_wakes_on_concurrent_enqueue(self, queue):
-        import threading
+    def test_batch_wait_times_out_with_an_empty_list(self, queue):
+        t0 = time.monotonic()
+        assert queue.claim_many("w1", 4, wait=0.2) == []
+        elapsed = time.monotonic() - t0
+        assert 0.15 <= elapsed < 5.0
 
-        peer = queue.conformance_peer()
-        try:
-            feeder = threading.Timer(
-                0.15, lambda: peer.enqueue(_tasks(1)))
-            feeder.start()
-            t0 = time.monotonic()
-            task = queue.claim("w1", wait=10.0)
-            elapsed = time.monotonic() - t0
-            feeder.join()
-            assert task is not None
-            assert elapsed < 8.0  # woke for the enqueue, not the timeout
-        finally:
-            peer.close()
+    def test_wait_wakes_on_concurrent_enqueue(self, queue):
+        task, elapsed = _claim_during(
+            queue, lambda peer: peer.enqueue(_tasks(1)),
+            lambda: queue.claim("w1", wait=10.0))
+        assert task is not None
+        assert elapsed < 8.0  # woke for the enqueue, not the timeout
+
+    def test_batch_wait_takes_the_whole_concurrent_enqueue(self, queue):
+        tasks, elapsed = _claim_during(
+            queue, lambda peer: peer.enqueue(_tasks(3)),
+            lambda: queue.claim_many("w1", 5, wait=10.0))
+        assert [t.key for t in tasks] == ["task-000", "task-001", "task-002"]
+        assert elapsed < 8.0
 
     def test_wait_wakes_on_release(self, queue):
-        import threading
-
         queue.enqueue(_tasks(1))
         task = queue.claim("w1")
-        peer = queue.conformance_peer()
-        try:
-            feeder = threading.Timer(
-                0.15, lambda: peer.release(task.key, "w1"))
-            feeder.start()
-            t0 = time.monotonic()
-            again = queue.claim("w2", wait=10.0)
-            elapsed = time.monotonic() - t0
-            feeder.join()
-            assert again is not None and again.key == task.key
-            assert elapsed < 8.0
-        finally:
-            peer.close()
+        again, elapsed = _claim_during(
+            queue, lambda peer: peer.release(task.key, "w1"),
+            lambda: queue.claim("w2", wait=10.0))
+        assert again is not None and again.key == task.key
+        assert elapsed < 8.0
+
+    def test_batch_wait_dead_letters_a_spent_candidate(self, queue):
+        """The waited claim runs the same transaction as an unwaited
+        one: a spent candidate goes to the dead letters, the batch
+        moves on to the next task."""
+        queue.enqueue(_tasks(1))
+        for _ in range(3):
+            assert queue.claim("w1", lease_seconds=0.01) is not None
+            time.sleep(0.03)
+        queue.enqueue(_tasks(2))  # task-001 joins the spent task-000
+        tasks = queue.claim_many("w2", 5, wait=5.0)
+        assert [t.key for t in tasks] == ["task-001"]
+        ((key, attempts, error),) = queue.dead()
+        assert key == "task-000" and attempts == 3
+        assert "claim budget exhausted" in error
 
     def test_wait_wakes_when_a_lease_expires(self, queue):
         # No commit marks the moment a lease lapses: the waiter must
@@ -484,7 +511,7 @@ class TestSchema:
 
 
 class TestCommitDrivenWakeups:
-    """SQLite ``claim(wait=)`` takes the write lock only when it may win.
+    """SQLite ``claim_many(wait=)`` takes the write lock only when it may win.
 
     An idle waiter reads ``PRAGMA data_version`` between naps and reruns
     its ``BEGIN IMMEDIATE`` claim transaction only after another

@@ -6,6 +6,7 @@ because the wire behaviours under test (status codes, headers, retry
 timing) only exist on a real socket.
 """
 
+import collections
 import contextlib
 import http.client
 import http.server
@@ -30,6 +31,7 @@ from repro.service.client import (
 from repro.service.protocol import (
     API_PREFIX,
     MAX_BODY,
+    MAX_CLAIM_COUNT,
     TOKEN_ENV,
     WIRE_HEADER,
     WIRE_VERSION,
@@ -425,10 +427,11 @@ class TestAdaptivePollBackoff:
 
 
 class TestWorkerOverHttp:
-    def test_worker_drains_simulations_remotely(self, service):
+    @staticmethod
+    def _drain_two_simulations(service):
+        """Enqueue two simulations; one remote worker drains them."""
         from repro.core.config import cortex_a53_public_config
         from repro.fabric import FabricWorker, plan_simulations
-        from repro.store import open_store
 
         from repro.isa.decoder import Decoder
 
@@ -439,17 +442,39 @@ class TestWorkerOverHttp:
         plan = plan_simulations(items)
         queue = HttpQueue(service.url, token=TOKEN)
         queue.enqueue(plan.tasks, submitted_by="test")
+        queue.close()
 
         worker = FabricWorker(service.url, drain=True, token=TOKEN)
         assert worker.remote
-        stats = worker.run()
+        return plan, worker.run()
+
+    def test_worker_drains_simulations_remotely(self, service):
+        from repro.store import open_store
+
+        plan, stats = self._drain_two_simulations(service)
         assert stats.completed == 2 and stats.failed == 0
 
-        assert queue.counts()["done"] == 2
+        assert HttpQueue(service.url, token=TOKEN).counts()["done"] == 2
         remote = open_store(service.url, token=TOKEN)
         for key in plan.keys:
             assert remote.get_sim(key) is not None
         remote.close()
+
+    def test_every_claim_carries_its_store_precheck(self, service, monkeypatch):
+        """A drained worker never reads the store on its own: each claim,
+        prefetch or idle, answers "already computed?" in its reply."""
+        requests = collections.Counter()
+        call = ServiceClient.call
+
+        def counting_call(client, method, endpoint, *args, **kwargs):
+            requests[endpoint] += 1
+            return call(client, method, endpoint, *args, **kwargs)
+
+        monkeypatch.setattr(ServiceClient, "call", counting_call)
+        _plan, stats = self._drain_two_simulations(service)
+        assert stats.completed == 2 and stats.failed == 0
+        assert requests["queue/claim"] >= 1
+        assert requests["store/get-many"] == 0, dict(requests)
 
 
 class TestExecutorOverHttp:
@@ -565,9 +590,49 @@ class TestBadRequests:
 
     def test_unknown_store_table_400(self, service):
         with pytest.raises(urllib.error.HTTPError) as err:
-            _raw_request(service.url, method="POST", endpoint="store/get",
-                         body={"table": "nope; DROP TABLE", "key": "k"})
+            _raw_request(service.url, method="POST", endpoint="store/get-many",
+                         body={"table": "nope; DROP TABLE", "keys": ["k"]})
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("body", [
+        {"worker": "w", "count": "x"},
+        {"count": 2},
+        {"worker": 7, "count": 1},
+        {"worker": "w"},
+        {"worker": "w", "count": 0},
+        {"worker": "w", "count": 1.0},
+        {"worker": "w", "count": True},
+        {"worker": "w", "count": MAX_CLAIM_COUNT + 1},
+        {"worker": "w", "count": 10 ** 6},
+        {"worker": "w", "count": 1, "wait": -1},
+        {"worker": "w", "count": 1, "wait": "soon"},
+        {"worker": "w", "count": 1, "wait": None},
+    ])
+    def test_malformed_claim_is_400_and_leases_nothing(self, service, body):
+        service.queue.enqueue([("bad-claim", "sleep", {})])
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _raw_request(service.url, method="POST", endpoint="queue/claim",
+                         body=body)
+        assert err.value.code == 400
+        assert service.queue.counts()["queued"] == 1
+
+    def test_http_claim_asks_for_at_most_the_cap(self, service):
+        """An oversized batch leases up to the cap instead of a 400."""
+        queue = HttpQueue(service.url, token=TOKEN)
+        try:
+            queue.enqueue([(f"cap-{i:03d}", "sleep", {})
+                           for i in range(MAX_CLAIM_COUNT + 2)])
+            assert len(queue.claim_many("w1", 10 ** 6)) == MAX_CLAIM_COUNT
+            assert len(queue.claim_many("w1", 10 ** 6)) == 2
+        finally:
+            queue.close()
+
+    def test_client_does_not_retry_a_malformed_claim(self, service):
+        client = ServiceClient(service.url, token=TOKEN, backoff=0.01)
+        with pytest.raises(ServiceError) as err:
+            client.call("POST", "queue/claim", {"count": 2})
+        assert err.value.status == 400
+        assert client.telemetry()["wire_retries"] == 0
 
     @pytest.mark.parametrize("length", ["-1", "-5", "abc", "1_0", "+3"])
     def test_malformed_content_length_is_400_and_closes(self, service, length):
