@@ -32,10 +32,3 @@ class DirectionPredictor:
     def reset(self) -> None:
         """Forget all training state."""
         raise NotImplementedError
-
-
-def saturating_update(counter: int, taken: bool, maximum: int = 3) -> int:
-    """Advance a saturating counter toward taken (up) or not-taken (down)."""
-    if taken:
-        return counter + 1 if counter < maximum else counter
-    return counter - 1 if counter > 0 else counter

@@ -618,19 +618,6 @@ def _fabric_spec(args):
     return args.store, None
 
 
-def _fabric_queue(spec: str, token: str = None):
-    """A :class:`~repro.fabric.api.TaskQueue` for a file path or URL."""
-    from repro.service.protocol import is_url
-
-    if is_url(spec):
-        from repro.service.client import HttpQueue
-
-        return HttpQueue(spec, token=token)
-    from repro.fabric import JobQueue
-
-    return JobQueue(spec)
-
-
 def cmd_serve(args) -> int:
     """Serve a fabric store over HTTP for a remote worker fleet."""
     from repro.service.protocol import WIRE_VERSION, resolve_token
@@ -666,9 +653,11 @@ def cmd_submit(args) -> int:
     decomposed into content-keyed tasks, deduplicated against the
     store, and left on the durable queue for ``repro worker``
     processes to chew through — pre-warming the store for campaigns
-    and sweeps that run later.
+    and sweeps that run later. Dead-lettered keys in the grid get a
+    fresh claim budget and count as enqueued; "already queued" counts
+    keys left as they were (queued, leased or done).
     """
-    from repro.fabric import expand_grid, plan_simulations
+    from repro.fabric import expand_grid, open_queue, plan_simulations
 
     grid = _parse_sweep_sets(args.set) if args.set else {}
     base = _public_config(args.core)
@@ -688,7 +677,7 @@ def cmd_submit(args) -> int:
     spec, token = _fabric_spec(args)
     with open_store(spec, token=token) as store:
         plan = plan_simulations(items, store=store)
-        with _fabric_queue(spec, token) as queue:
+        with open_queue(spec, token=token) as queue:
             added = queue.enqueue(plan.tasks, submitted_by="submit")
             depth = queue.depth()
     already_queued = len(plan.tasks) - added
@@ -737,11 +726,11 @@ def _human_bytes(n: int) -> str:
 
 def cmd_status(args) -> int:
     """Queue depth, leases, workers and throughput of a fabric store."""
-    from repro.fabric import status_snapshot
+    from repro.fabric import open_queue, status_snapshot
 
     spec, token = _fabric_spec(args)
     if args.requeue_dead:
-        with _fabric_queue(spec, token) as queue:
+        with open_queue(spec, token=token) as queue:
             revived = queue.requeue_dead()
         print(f"requeued {revived} dead task(s)")
     snap = status_snapshot(spec, token=token)

@@ -5,6 +5,8 @@
   access used by the tuner;
 - :mod:`repro.core.contention` — functional-unit contention and
   dual-issue pairing rules (§IV-A "contention model");
+- :mod:`repro.core.base` — the construction and stats record both core
+  models share;
 - :mod:`repro.core.inorder` — Cortex-A53-like in-order scoreboard model;
 - :mod:`repro.core.ooo` — Cortex-A72-like out-of-order ROB model;
 - :mod:`repro.core.stats` — the stats record a simulation produces.

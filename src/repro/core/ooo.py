@@ -13,46 +13,17 @@ file bounds how many misses proceed concurrently.
 
 from __future__ import annotations
 
-from repro.branch.btb import BranchTargetBuffer
-from repro.branch.ras import ReturnAddressStack
-from repro.branch.unit import (
-    REDIRECT_BTB,
-    REDIRECT_MISPREDICT,
-    BranchUnit,
-    build_direction_predictor,
-    build_indirect_predictor,
-)
-from repro.core.config import SimConfig
-from repro.core.contention import ContentionModel
+from repro.branch.unit import REDIRECT_BTB, REDIRECT_MISPREDICT
+from repro.core.base import CoreModel
 from repro.core.stats import SimStats
 from repro.isa.registers import TOTAL_REG_COUNT, ZERO_REG
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.trace.record import Trace
 
 
-def _build_branch_unit(config: SimConfig) -> BranchUnit:
-    b = config.branch
-    return BranchUnit(
-        direction=build_direction_predictor(b.predictor, b.predictor_bits),
-        btb=BranchTargetBuffer(entries=b.btb_entries, assoc=b.btb_assoc),
-        ras=ReturnAddressStack(entries=b.ras_entries),
-        indirect=build_indirect_predictor(
-            b.indirect, b.indirect_entries, b.indirect_history_bits
-        ),
-    )
-
-
-class OutOfOrderCore:
+class OutOfOrderCore(CoreModel):
     """ROB-based out-of-order pipeline model."""
 
-    def __init__(self, config: SimConfig, effects=None) -> None:
-        if config.core_type != "ooo":
-            raise ValueError(f"OutOfOrderCore requires core_type='ooo', got {config.core_type!r}")
-        self.config = config
-        self.effects = effects
-        self.hierarchy = MemoryHierarchy(config, effects=effects)
-        self.contention = ContentionModel(config.execute)
-        self.branch_unit = _build_branch_unit(config)
+    core_type = "ooo"
 
     def run_stream(self, trace: Trace, stream: list) -> SimStats:
         """Replay the flattened ``stream`` of ``trace`` and account cycles."""
@@ -260,19 +231,3 @@ class OutOfOrderCore:
 
         total_cycles = prev_retire + frontend_depth
         return self._stats(trace, total_cycles)
-
-    def _stats(self, trace: Trace, cycles: int) -> SimStats:
-        hierarchy = self.hierarchy
-        return SimStats(
-            config_name=self.config.name,
-            workload=trace.name,
-            instructions=len(trace),
-            cycles=cycles,
-            branch=self.branch_unit.stats,
-            l1i=hierarchy.l1i.stats,
-            l1d=hierarchy.l1d.stats,
-            l2=hierarchy.l2.stats,
-            store_buffer_full_stalls=hierarchy.store_buffer.full_stalls,
-            store_forwards=hierarchy.store_buffer.forwards,
-            dram_accesses=hierarchy.dram.accesses,
-        )

@@ -313,15 +313,13 @@ class EvaluationEngine:
                        for tkey, (trace, configs, _keys) in groups.items()]
         group_keys = [keys for _trace, _configs, keys in groups.values()]
 
-        pass_sizes = getattr(self._executor, "pass_sizes", None)
-        if pass_sizes is not None:
-            for configs, _tkey, trace in exec_groups:
-                for size in pass_sizes(len(configs)):
-                    if size >= 2:
-                        self.telemetry.batched_trials += size
-                        self.telemetry.shared_pass_instructions += (
-                            size * trace.instruction_count()
-                        )
+        for configs, _tkey, trace in exec_groups:
+            for size in self._executor.pass_sizes(len(configs)):
+                if size >= 2:
+                    self.telemetry.batched_trials += size
+                    self.telemetry.shared_pass_instructions += (
+                        size * trace.instruction_count()
+                    )
         return ready, pending, exec_groups, group_keys
 
     def simulate_batch(self, pairs) -> list:
@@ -399,8 +397,7 @@ class EvaluationEngine:
         # workers write the shared store directly) needs no write-back
         # — rewriting N rows per batch would double the write traffic
         # on the contended multi-writer file.
-        persisted = getattr(self._executor, "persists", False)
-        if self.store is not None and fresh and not persisted:
+        if self.store is not None and fresh and not self._executor.persists:
             self.store.put_sim_many(fresh)
         return out
 

@@ -24,7 +24,11 @@ Every executor speaks one protocol, and the engine drives only it:
   completed since the previous poll and never sleeps;
 - ``cancel(handle, slots)`` withdraws not-yet-delivered slots
   best-effort (work already executing simply completes and is ignored);
-- ``close()`` releases the executor's resources.
+- ``close()`` releases the executor's resources;
+- ``pass_sizes(n) -> [int]`` says how many configs of an ``n``-config
+  group share each simulation pass, for the engine's fusion telemetry;
+- ``persists`` is true when results reach the store without the engine
+  (the fabric's workers write them), so the engine skips its write-back.
 
 An in-process executor returns at least one slot per poll while work is
 outstanding: the serial executor simulates the next group, the process
@@ -32,9 +36,9 @@ executor waits for its first finished future. Only the fabric executor,
 whose work runs elsewhere, can answer ``{}`` mid-batch, so only it is
 ever paced — :func:`drain`, the one blocking loop over ``poll``, naps
 by :class:`~repro.pacing.Pacer` from its ``poll_interval`` up to its
-``poll_cap``. The fabric executor maps the protocol onto queue enqueue
-+ streaming state polls, with queue-level ``cancel`` retracting
-unclaimed speculation.
+``poll_cap``. The fabric executor maps the protocol onto one queue
+enqueue per submit + streaming state polls, with queue-level ``cancel``
+retracting unclaimed speculation.
 
 On fork-capable platforms the process executor avoids re-pickling traces
 on every task: whenever the trace registry has grown it refreshes its
@@ -122,6 +126,7 @@ class SerialExecutor:
 
     name = "serial"
     jobs = 1
+    persists = False
 
     @staticmethod
     def pass_sizes(n: int) -> list:
@@ -180,6 +185,7 @@ class ProcessExecutor:
     """Parallel execution over a process pool (the ``jobs>1`` path)."""
 
     name = "process"
+    persists = False
 
     def __init__(self, jobs: int) -> None:
         if jobs < 2:
@@ -324,10 +330,13 @@ class ProcessExecutor:
 class FabricExecutor:
     """Distributed execution over the fabric's durable job queue.
 
-    ``submit`` plans each batch into content-keyed tasks (deduplicated
-    against the store a second time at planning — another driver may
-    have finished a key since the engine's own cache check) and
-    enqueues them idempotently; ``poll`` reads back, from the store,
+    ``submit`` turns a batch into content-keyed tasks and enqueues all
+    of them in one queue call. The engine has already answered every
+    key its cache or the store holds, and the queue's enqueue is
+    insert-or-revive: keys already queued, leased or done (by another
+    driver, or an overlapping speculative batch of this one) are left
+    alone, and dead-lettered keys get a fresh claim budget, since a
+    resubmission is fresh intent. ``poll`` reads back, from the store,
     the stats of every key the queue reports ``done``. Concurrency
     lives entirely outside this process: throughput is however many
     ``repro worker`` processes share the store file. So this is the
@@ -350,7 +359,7 @@ class FabricExecutor:
         durable queue whose workers may come and go).
     queue:
         Optional pre-built :class:`~repro.fabric.api.TaskQueue`
-        (testing); by default one is derived from the store backend.
+        (testing); by default one is opened on the store's address.
     """
 
     name = "fabric"
@@ -362,25 +371,19 @@ class FabricExecutor:
 
     def __init__(self, store, poll: float = 0.05, timeout: float = None,
                  queue=None) -> None:
-        kind = getattr(getattr(store, "backend", None), "kind", None)
-        if queue is not None:
-            self.queue = queue
-        elif kind == "sqlite":
-            from repro.fabric.queue import JobQueue
+        if queue is None:
+            backend = getattr(store, "backend", None)
+            if getattr(backend, "kind", None) not in ("sqlite", "http"):
+                raise ValueError(
+                    "the fabric executor needs a SQLite-backed store "
+                    "(EvaluationEngine(store=...) with a file path) or an "
+                    "experiment-service URL — the job queue lives with the "
+                    "results workers share"
+                )
+            from repro.fabric.queue import open_queue
 
-            self.queue = JobQueue(store.backend.path)
-        elif kind == "http":
-            from repro.service.client import HttpQueue
-
-            self.queue = HttpQueue(store.backend.url,
-                                   token=store.backend.token)
-        else:
-            raise ValueError(
-                "the fabric executor needs a SQLite-backed store "
-                "(EvaluationEngine(store=...) with a file path) or an "
-                "experiment-service URL — the job queue lives with the "
-                "results workers share"
-            )
+            queue = open_queue(backend.path, token=backend.token)
+        self.queue = queue
         self.store = store
         self.poll_interval = float(poll)
         #: Ceiling for the adaptive poll pacing of :func:`drain`:
@@ -390,46 +393,30 @@ class FabricExecutor:
         #: delivered result resets the pace to ``poll_interval``.
         self.poll_cap = max(self.poll_interval, 1.0)
         self.timeout = timeout
-        #: Keys enqueued by this executor and not yet observed done —
-        #: overlapping speculative submits plan against this set so
-        #: each key crosses the wire once.
-        self._in_flight: set = set()
+
+    @staticmethod
+    def pass_sizes(n: int) -> list:
+        """Configs per shared pass: one each, every task runs alone."""
+        return [1] * n
 
     run = _run_groups
 
     def submit(self, groups, decoder, registry_items=None):
-        """Plan, deduplicate and enqueue a batch; poll for completions."""
+        """Plan a batch and enqueue every planned key in one queue call."""
         from repro.fabric.scheduler import plan_groups
         from repro.fabric.tasks import check_decoder_portable
 
         check_decoder_portable(decoder)
         groups = [(list(configs), tkey, trace) for configs, tkey, trace in groups]
-        plan = plan_groups(groups, decoder, store=self.store,
-                           in_flight=self._in_flight)
-        if plan.tasks:
-            self.queue.enqueue(plan.tasks, submitted_by="engine")
-        enqueued = {key for key, _kind, _payload in plan.tasks}
-        self._in_flight.update(enqueued)
-        # A fresh submission is fresh intent: keys that dead-lettered in
-        # some earlier run get their claim budget back instead of
-        # poisoning this batch on the first poll. (A task that dies
-        # again *during* this batch still raises below.) In-flight keys
-        # are included: a cancelled-then-rewanted key may have died
-        # unobserved between batches.
-        revive = enqueued | set(plan.in_flight)
-        if revive:
-            self.queue.requeue_dead(keys=revive)
-
+        plan = plan_groups(groups, decoder)
+        self.queue.enqueue(plan.tasks, submitted_by="engine")
         # plan_groups flattens groups in order, so its per-item keys
         # line up with the (group, config) slots.
         slots = [(gi, ci) for gi, (configs, _tkey, _trace) in enumerate(groups)
                  for ci in range(len(configs))]
-        slot_key = dict(zip(slots, plan.item_keys))
-        store_hits = set(plan.store_hits)
         return _FabricHandle(
-            slot_key=slot_key,
-            ready=store_hits,
-            outstanding=set(slot_key.values()) - store_hits,
+            slot_key=dict(zip(slots, plan.item_keys)),
+            outstanding=set(plan.keys),
             deadline=(None if self.timeout is None
                       else time.monotonic() + self.timeout),
         )
@@ -441,18 +428,6 @@ class FabricExecutor:
         query (one HTTP request on the wire transport) per poll however
         many keys finished, instead of one per key.
         """
-        if handle.ready:
-            fetched = self.store.get_sims(sorted(handle.ready))
-            for key, stats in fetched.items():
-                if stats is None:
-                    raise RuntimeError(
-                        f"fabric task {key!r} was planned as a store hit but "
-                        "its result is missing from the store; the store "
-                        "contents changed mid-batch"
-                    )
-                handle.results[key] = stats
-            handle.ready.clear()
-
         if handle.outstanding:
             states = self.queue.states(handle.outstanding)
             finished = [key for key in handle.outstanding
@@ -468,7 +443,6 @@ class FabricExecutor:
                     )
                 handle.results[key] = stats
                 handle.outstanding.discard(key)
-                self._in_flight.discard(key)
             dead = [key for key in handle.outstanding
                     if states.get(key) == "dead"]
             if dead:
@@ -500,10 +474,10 @@ class FabricExecutor:
         """Retract unclaimed queue rows for fully-withdrawn keys.
 
         Only keys none of whose remaining slots are wanted are
-        cancelled; the queue deletes rows still ``queued`` and reports
-        which — those drop out of the in-flight set so a later submit
-        re-enqueues them if needed. Leased/done keys simply complete
-        into the store (content-addressed, so never wasted twice).
+        cancelled; the queue deletes rows still ``queued``, and a later
+        submit that wants such a key enqueues it again. Leased/done
+        keys simply complete into the store (content-addressed, so
+        never wasted twice).
         """
         drop = set(slots)
         wanted: set = set()
@@ -516,14 +490,11 @@ class FabricExecutor:
         handle.delivered.update(drop)
         if not targets:
             return
-        removed = set(self.queue.cancel(targets))
-        for key in targets:
-            # Stop watching the key either way: a still-leased task
-            # finishes into the store on its own (or dies unobserved —
-            # its row is revived if the key is ever wanted again).
-            handle.outstanding.discard(key)
-            if key in removed:
-                self._in_flight.discard(key)
+        self.queue.cancel(targets)
+        # Stop watching the keys either way: a still-leased task
+        # finishes into the store on its own (or dies unobserved — its
+        # row is revived by the enqueue of any batch that wants it).
+        handle.outstanding.difference_update(targets)
 
     def close(self) -> None:
         """Close the queue connection (the store belongs to the engine)."""
@@ -533,9 +504,8 @@ class FabricExecutor:
 class _FabricHandle:
     """In-flight state of one :meth:`FabricExecutor.submit` batch."""
 
-    def __init__(self, slot_key, ready, outstanding, deadline):
+    def __init__(self, slot_key, outstanding, deadline):
         self.slot_key = slot_key      # (gi, ci) -> content key
-        self.ready = ready            # store-hit keys, fetched first poll
         self.outstanding = outstanding  # keys awaited from the queue
         self.deadline = deadline
         self.results: dict = {}       # key -> stats

@@ -34,6 +34,7 @@ from repro.fabric.queue import (
     JobQueue,
     Lease,
     Task,
+    open_queue,
 )
 from repro.fabric.scheduler import TaskPlan, expand_grid, plan_groups, plan_simulations
 from repro.fabric.status import status_snapshot
@@ -55,6 +56,7 @@ __all__ = [
     "Lease",
     "Task",
     "TaskQueue",
+    "open_queue",
     "TaskPlan",
     "expand_grid",
     "plan_groups",

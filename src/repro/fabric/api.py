@@ -16,7 +16,9 @@ once and inherited everywhere, not re-specified per transport.
 Semantics every implementation must honour (the queue module's
 docstring is the normative description):
 
-- **enqueue** is content-keyed and idempotent (``INSERT OR IGNORE``);
+- **enqueue** is content-keyed and idempotent: it inserts new keys,
+  revives ``dead`` ones with a fresh claim budget, and leaves queued,
+  leased and done rows untouched;
 - **claim_many** leases up to ``n`` of the oldest claimable tasks in
   one round trip (one transaction / one request), dead-lettering tasks
   whose claim budget is exhausted, and ``wait`` turns an empty claim
@@ -29,7 +31,7 @@ docstring is the normative description):
 - **release** hands an unstarted lease back without burning an
   attempt — the clean exit for a pipelined worker holding a
   prefetched task it will never run;
-- **requeue_dead** restores dead-lettered tasks' claim budgets;
+- **requeue_dead** restores every dead-lettered task's claim budget;
 - introspection (**states/counts/depth/retries/leases/dead/errors**)
   reflects live queue state for drivers and ``repro status``.
 """
@@ -51,11 +53,12 @@ class TaskQueue(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def enqueue(self, tasks, submitted_by: str = None) -> int:
-        """Insert ``[(key, kind, payload_dict), ...]``; returns rows added."""
+        """Insert or revive ``[(key, kind, payload_dict), ...]``; returns
+        the rows inserted plus the dead rows revived."""
 
     @abc.abstractmethod
-    def requeue_dead(self, keys=None) -> int:
-        """Restore dead-lettered tasks' claim budgets; returns count."""
+    def requeue_dead(self) -> int:
+        """Restore every dead-lettered task's claim budget; returns count."""
 
     @abc.abstractmethod
     def cancel(self, keys) -> list:

@@ -10,9 +10,11 @@ results, and a worker needs exactly one file to participate.
 The protocol, in full:
 
 - **enqueue** — tasks are keyed by *content* (the engine's
-  :func:`~repro.engine.keys.sim_key` rendered to text), inserted with
-  ``INSERT OR IGNORE``: two drivers submitting the same experiment
-  share one row, the way two engines submitting it share one result.
+  :func:`~repro.engine.keys.sim_key` rendered to text), inserted or
+  revived: a new key gets a row, a ``dead`` key gets a fresh claim
+  budget (resubmission is fresh intent), and a queued, leased or done
+  key is left alone. Two drivers submitting the same experiment share
+  one row, the way two engines submitting it share one result.
 - **claim** — a worker takes up to ``n`` of the oldest claimable
   tasks inside one ``BEGIN IMMEDIATE`` transaction: state ``queued``,
   or state ``leased`` whose lease has expired (expiry-driven requeue — a
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 from repro.fabric.api import TaskQueue
 from repro.pacing import Pacer
-from repro.store.backend import BUSY_TIMEOUT, connect_sqlite, retry_busy
+from repro.store.backend import BUSY_TIMEOUT, connect_sqlite, in_chunks, retry_busy
 
 #: Bump when the fabric tables' layout changes incompatibly.
 FABRIC_SCHEMA_VERSION = 1
@@ -177,15 +179,17 @@ class JobQueue(TaskQueue):
     # Producer side
     # ------------------------------------------------------------------
     def enqueue(self, tasks, submitted_by: str = None) -> int:
-        """Insert ``[(key, kind, payload_dict), ...]``; returns rows added.
+        """Insert or revive ``[(key, kind, payload_dict), ...]``.
 
-        Content-keyed and idempotent: keys already present (queued,
-        running, even done) are left untouched, so resubmitting a batch
-        never duplicates work.
+        Content-keyed and idempotent: a new key is inserted, a ``dead``
+        key gets the fresh claim budget :meth:`requeue_dead` would give
+        it, and queued, leased and done keys are left untouched, so
+        resubmitting a batch never duplicates work. Returns the rows
+        inserted or revived.
         """
         now = time.time()
         rows = [
-            (key, kind, json.dumps(payload, sort_keys=True), "queued",
+            (key, kind, json.dumps(payload, sort_keys=True),
              self.max_attempts, submitted_by, now, now)
             for key, kind, payload in tasks
         ]
@@ -193,44 +197,27 @@ class JobQueue(TaskQueue):
             return 0
         with self._lock:
             added = retry_busy(lambda: self._conn.executemany(
-                "INSERT OR IGNORE INTO fabric_tasks"
+                "INSERT INTO fabric_tasks"
                 " (key, kind, payload, state, max_attempts, submitted_by,"
                 "  created, updated)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)", rows
+                " VALUES (?, ?, ?, 'queued', ?, ?, ?, ?)"
+                " ON CONFLICT(key) DO UPDATE SET state='queued', attempts=0,"
+                "  worker=NULL, lease_expires=NULL, updated=excluded.updated"
+                " WHERE fabric_tasks.state='dead'", rows
             ).rowcount)
         if added:
             self._notify()
         return added
 
-    def requeue_dead(self, keys=None) -> int:
-        """Give dead-lettered tasks a fresh claim budget; returns count.
-
-        ``keys=None`` revives every dead task; otherwise only the given
-        keys (an empty collection is a no-op).
-        """
-        if keys is not None:
-            keys = list(keys)
-            if not keys:
-                return 0
+    def requeue_dead(self) -> int:
+        """Give every dead-lettered task a fresh claim budget; returns count."""
         now = time.time()
         with self._lock:
-            def op():
-                if keys is None:
-                    cur = self._conn.execute(
-                        "UPDATE fabric_tasks SET state='queued', attempts=0,"
-                        " worker=NULL, lease_expires=NULL, updated=?"
-                        " WHERE state='dead'", (now,)
-                    )
-                    return cur.rowcount
-                marks = ",".join("?" for _ in keys)
-                cur = self._conn.execute(
-                    f"UPDATE fabric_tasks SET state='queued', attempts=0,"
-                    f" worker=NULL, lease_expires=NULL, updated=?"
-                    f" WHERE state='dead' AND key IN ({marks})",
-                    (now, *keys),
-                )
-                return cur.rowcount
-            revived = retry_busy(op)
+            revived = retry_busy(lambda: self._conn.execute(
+                "UPDATE fabric_tasks SET state='queued', attempts=0,"
+                " worker=NULL, lease_expires=NULL, updated=?"
+                " WHERE state='dead'", (now,)
+            ).rowcount)
         if revived:
             self._notify()
         return revived
@@ -245,37 +232,28 @@ class JobQueue(TaskQueue):
         eliminated candidates.
         """
         keys = list(keys)
-        if not keys:
-            return []
-        cancelled: list = []
+        removed: set = set()
         with self._lock:
             def op(chunk, marks):
                 self._conn.execute("BEGIN IMMEDIATE")
                 try:
-                    rows = self._conn.execute(
+                    hit = [row[0] for row in self._conn.execute(
                         f"SELECT key FROM fabric_tasks"
-                        f" WHERE state='queued' AND key IN ({marks})", chunk
-                    ).fetchall()
-                    hit = [r[0] for r in rows]
+                        f" WHERE state='queued' AND key IN ({marks})", chunk)]
                     if hit:
-                        hit_marks = ",".join("?" for _ in hit)
+                        # Same list, same transaction: deletes exactly `hit`.
                         self._conn.execute(
                             f"DELETE FROM fabric_tasks"
-                            f" WHERE state='queued' AND key IN ({hit_marks})",
-                            hit,
-                        )
+                            f" WHERE state='queued' AND key IN ({marks})", chunk)
                     self._conn.execute("COMMIT")
                     return hit
                 except BaseException:
                     self._conn.execute("ROLLBACK")
                     raise
 
-            for start in range(0, len(keys), 500):
-                chunk = keys[start:start + 500]
-                marks = ",".join("?" for _ in chunk)
-                hit = set(retry_busy(lambda c=chunk, m=marks: op(c, m)))
-                cancelled.extend(key for key in chunk if key in hit)
-        return cancelled
+            for chunk, marks in in_chunks(keys):
+                removed.update(retry_busy(lambda c=chunk, m=marks: op(c, m)))
+        return [key for key in keys if key in removed]
 
     # ------------------------------------------------------------------
     # Worker side
@@ -573,12 +551,9 @@ class JobQueue(TaskQueue):
     # ------------------------------------------------------------------
     def states(self, keys) -> dict:
         """``{key: state}`` for the given keys (missing keys absent)."""
-        keys = list(keys)
         out: dict = {}
         with self._lock:
-            for start in range(0, len(keys), 500):
-                chunk = keys[start:start + 500]
-                marks = ",".join("?" for _ in chunk)
+            for chunk, marks in in_chunks(keys):
                 rows = retry_busy(lambda c=chunk, m=marks: list(self._conn.execute(
                     f"SELECT key, state FROM fabric_tasks WHERE key IN ({m})", c
                 )))
@@ -646,3 +621,25 @@ class JobQueue(TaskQueue):
         """Close the queue's SQLite connection."""
         with self._lock:
             self._conn.close()
+
+
+def open_queue(spec, token: str = None, lease_seconds: float = DEFAULT_LEASE,
+               max_retries: int = None) -> TaskQueue:
+    """Open a queue: a SQLite file path, or an ``http(s)://``
+    experiment-service URL (see :mod:`repro.service`).
+
+    Mirrors :func:`~repro.store.resultstore.open_store`:
+    ``token``/``max_retries`` configure the HTTP client for URL specs
+    and are ignored otherwise.
+    """
+    from repro.service.protocol import is_url
+
+    if is_url(spec):
+        # Local import: the service package imports fabric modules.
+        from repro.service.client import DEFAULT_MAX_RETRIES, HttpQueue
+
+        return HttpQueue(
+            spec, token=token, lease_seconds=lease_seconds,
+            max_retries=DEFAULT_MAX_RETRIES if max_retries is None else max_retries,
+        )
+    return JobQueue(spec, lease_seconds=lease_seconds)

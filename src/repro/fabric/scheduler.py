@@ -6,17 +6,20 @@ Two shapes of work reach the fabric:
   hands its executor trace-grouped configuration lists (the tuner's
   race blocks, the campaign's whole-suite evaluations, sweep grids).
   :func:`plan_groups` turns them into one task per unique content key.
+  The engine has already answered every key its cache or the store
+  holds, so this plan reads no store and every key becomes a task.
 - **standing grids** — ``repro submit`` expands a sweep-style
   cross-product into tasks without any waiting driver, so workers can
-  pre-warm the store for campaigns that arrive later.
+  pre-warm the store for campaigns that arrive later. Its plan passes
+  the :class:`~repro.store.resultstore.ResultStore`, so a key whose
+  result already exists never becomes a task.
 
-Both paths deduplicate before enqueue, twice: within the plan (two
-configs flattening identically share a key, hence a task) and against
-the :class:`~repro.store.resultstore.ResultStore` (a key whose result
-already exists never becomes a task — the store is the fabric's
-memory). Stage ordering needs no queue machinery: a campaign's driver
-only submits stage *N+1* after stage *N*'s results are read back, so
-cross-stage dependencies are enforced by construction.
+Every plan deduplicates within itself (two configs flattening
+identically share a key, hence a task); the queue's idempotent enqueue
+collapses keys that are already queued, leased or done. Stage ordering
+needs no queue machinery: a campaign's driver only submits stage *N+1*
+after stage *N*'s results are read back, so cross-stage dependencies
+are enforced by construction.
 """
 
 from __future__ import annotations
@@ -43,32 +46,17 @@ class TaskPlan:
     keys: list = field(default_factory=list)
     #: Keys whose results the store already held at planning time.
     store_hits: list = field(default_factory=list)
-    #: Keys the caller declared already enqueued (speculative dedup):
-    #: planned, awaited, but not re-enqueued.
-    in_flight: list = field(default_factory=list)
     #: One key per *input item*, in input order (duplicates repeated) —
     #: lets a caller address every submitted slot without re-deriving.
     item_keys: list = field(default_factory=list)
 
-    def summary(self) -> str:
-        """One-line account of the plan (used by ``repro submit``)."""
-        text = (f"{len(self.keys)} unique trials: {len(self.tasks)} enqueued, "
-                f"{len(self.store_hits)} already in store")
-        if self.in_flight:
-            text += f", {len(self.in_flight)} already in flight"
-        return text
 
-
-def plan_simulations(items, store=None, in_flight=None) -> TaskPlan:
+def plan_simulations(items, store=None) -> TaskPlan:
     """Plan tasks for ``[(config, workload, scale, overrides, decoder), ...]``.
 
     Deduplicates by content key within the list and, when a ``store``
     is given, skips every item whose result is already persisted — one
     ``get_many`` existence check per plan, however many items.
-    ``in_flight`` is an optional set of keys a speculative caller has
-    already enqueued and not yet collected — those are planned (they
-    appear in ``plan.keys`` and ``plan.in_flight``) but produce no new
-    task, so overlapping speculative batches enqueue each key once.
     """
     plan = TaskPlan()
     payloads: dict = {}  # unique key -> payload, first-seen order
@@ -83,20 +71,18 @@ def plan_simulations(items, store=None, in_flight=None) -> TaskPlan:
     for key, payload in payloads.items():
         if stored.get(key) is not None:
             plan.store_hits.append(key)
-        elif in_flight is not None and key in in_flight:
-            plan.in_flight.append(key)
         else:
             plan.tasks.append((key, KIND_SIMULATE, payload))
     return plan
 
 
-def plan_groups(groups, decoder, scale_overrides=None, store=None,
-                in_flight=None) -> TaskPlan:
+def plan_groups(groups, decoder) -> TaskPlan:
     """Plan tasks for executor groups ``[(configs, trace_key, trace), ...]``.
 
     The trace key is the engine's ``(workload, scale, overrides_token)``
     tuple, so each group's identity fully determines its tasks; the
     trace object itself never crosses the fabric (workers re-record).
+    The groups are engine misses, so no store is consulted.
     """
     items = []
     for configs, tkey, _trace in groups:
@@ -104,7 +90,7 @@ def plan_groups(groups, decoder, scale_overrides=None, store=None,
         overrides = dict(ovr_token)
         for config in configs:
             items.append((config, workload, scale, overrides, decoder))
-    return plan_simulations(items, store=store, in_flight=in_flight)
+    return plan_simulations(items)
 
 
 def expand_grid(base_config, grid: dict, workloads, scale: float = 1.0,

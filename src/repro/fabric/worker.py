@@ -55,7 +55,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 
 from repro.engine import EvaluationEngine
-from repro.fabric.queue import DEFAULT_LEASE, JobQueue
+from repro.fabric.queue import DEFAULT_LEASE, open_queue
 from repro.fabric.tasks import KIND_SIMULATE, KIND_SLEEP, rebuild_config, resolve_decoder
 from repro.pacing import Pacer
 from repro.store import open_store
@@ -195,17 +195,10 @@ class FabricWorker:
         self._token = resolve_token(token) if self.remote else None
         # Each task's retry budget (max_attempts) is a *row* property,
         # fixed by the submitter at enqueue time — workers only honour it.
-        if self.remote:
-            from repro.service.client import DEFAULT_MAX_RETRIES, HttpQueue
-
-            retries = DEFAULT_MAX_RETRIES if max_retries is None else max_retries
-            self.queue = HttpQueue(self.store_path, token=self._token,
-                                   lease_seconds=self.lease, max_retries=retries)
-            self.store = open_store(self.store_path, token=self._token,
-                                    max_retries=retries)
-        else:
-            self.queue = JobQueue(self.store_path, lease_seconds=self.lease)
-            self.store = open_store(self.store_path)
+        self.queue = open_queue(self.store_path, token=self._token,
+                                lease_seconds=self.lease, max_retries=max_retries)
+        self.store = open_store(self.store_path, token=self._token,
+                                max_retries=max_retries)
         self.worker_id = self.queue.register_worker(
             worker_id, pid=os.getpid(), host=platform.node() or None
         )

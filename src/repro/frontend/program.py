@@ -304,9 +304,6 @@ class Program:
                             f"instruction {idx}: indirect target {t} outside program"
                         )
 
-    def pc_of(self, index: int) -> int:
-        return self.pcs[index]
-
     def reset_patterns(self) -> None:
         for inst in self.insts:
             if inst.addr_pattern is not None:

@@ -1,8 +1,10 @@
 """The Firefly RK3399 board substitute.
 
 One board object exposes two measurable cores — the in-order little
-cluster ("a53") and the out-of-order big cluster ("a72") — and the
-trace-recording facility (the on-board DynamoRIO equivalent).
+cluster ("a53") and the out-of-order big cluster ("a72"). Traces are
+recorded by :func:`repro.frontend.interpreter.trace_program` (the
+on-board DynamoRIO step); they are micro-architecture independent, so
+one recording serves both clusters.
 
 Measurements are produced by running the ground-truth configuration of
 the requested core, with the hardware-only effects attached, and then
@@ -19,8 +21,6 @@ import random
 import zlib
 
 from repro.core.config import SimConfig
-from repro.frontend.interpreter import trace_program
-from repro.frontend.program import Program
 from repro.hardware.effects import HardwareEffects, HardwareEffectsConfig
 from repro.hardware.groundtruth import (
     cortex_a53_effects,
@@ -90,12 +90,9 @@ class HardwareCore:
         factor = math.exp(rng.gauss(0.0, self.noise_sigma))
         return max(1, round(cycles * factor))
 
-    def clear_measurement_cache(self) -> None:
-        self._cache = {}
-
 
 class FireflyRK3399:
-    """The validation board: one big and one little cluster + tracing."""
+    """The validation board: one big and one little cluster."""
 
     def __init__(self, noise_sigma: float = 0.01) -> None:
         self.a53 = HardwareCore(
@@ -113,12 +110,3 @@ class FireflyRK3399:
         if key == "a72":
             return self.a72
         raise ValueError(f"unknown core {name!r}; the board has 'a53' and 'a72'")
-
-    @staticmethod
-    def record_trace(program: Program, iterations: int = 1, max_instructions: int = 1_000_000) -> Trace:
-        """Record a SIFT trace of ``program`` (the DynamoRIO step).
-
-        Traces are micro-architecture independent, so one recording
-        serves both clusters and every simulator configuration.
-        """
-        return trace_program(program, iterations=iterations, max_instructions=max_instructions)

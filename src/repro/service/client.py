@@ -362,17 +362,17 @@ class HttpQueue(TaskQueue):
     # Producer side
     # ------------------------------------------------------------------
     def enqueue(self, tasks, submitted_by: str = None) -> int:
-        """Insert ``[(key, kind, payload_dict), ...]``; returns rows added."""
+        """Insert or revive ``[(key, kind, payload_dict), ...]``; returns
+        the rows inserted or revived."""
         reply = self.client.call("POST", "queue/enqueue", {
             "tasks": [[key, kind, payload] for key, kind, payload in tasks],
             "submitted_by": submitted_by,
         })
         return reply["added"]
 
-    def requeue_dead(self, keys=None) -> int:
-        """Restore dead-lettered tasks' claim budgets; returns count."""
-        payload = {"keys": list(keys)} if keys is not None else {}
-        return self.client.call("POST", "queue/requeue-dead", payload)["requeued"]
+    def requeue_dead(self) -> int:
+        """Restore every dead-lettered task's claim budget; returns count."""
+        return self.client.call("POST", "queue/requeue-dead", {})["requeued"]
 
     def cancel(self, keys) -> list:
         """Withdraw still-``queued`` tasks; returns the keys removed."""

@@ -65,8 +65,10 @@ import zlib
 #: (``count``/``tasks``), long-poll ``wait``, ``queue/release``,
 #: ``store/get-many``, deflate body compression. Version 3: one claim
 #: reply shape (``tasks``, never ``task``), ``count`` required and
-#: bounded, claim input validated, no ``store/get``.
-WIRE_VERSION = 3
+#: bounded, claim input validated, no ``store/get``. Version 4:
+#: ``queue/enqueue`` revives dead keys, ``queue/requeue-dead`` takes
+#: no ``keys``.
+WIRE_VERSION = 4
 
 #: URL prefix every endpoint lives under.
 API_PREFIX = "/api/v1"

@@ -420,7 +420,7 @@ class ExperimentService:
         return {"state": state}
 
     def _ep_requeue_dead(self, payload: dict) -> dict:
-        return {"requeued": self.queue.requeue_dead(keys=payload.get("keys"))}
+        return {"requeued": self.queue.requeue_dead()}
 
     def _ep_cancel(self, payload: dict) -> dict:
         return {"cancelled": self.queue.cancel(payload.get("keys", []))}

@@ -43,6 +43,9 @@ BUSY_RETRIES = 6
 #: First backoff sleep of :func:`retry_busy`; doubles per attempt.
 BUSY_BACKOFF = 0.05
 
+#: Most keys one ``IN (...)`` list carries (see :func:`in_chunks`).
+IN_CHUNK = 500
+
 
 def is_busy_error(exc: BaseException) -> bool:
     """True when ``exc`` is SQLite reporting lock contention.
@@ -74,6 +77,23 @@ def retry_busy(op, attempts: int = BUSY_RETRIES, backoff: float = BUSY_BACKOFF):
             if not is_busy_error(exc) or attempt == attempts - 1:
                 raise
             time.sleep(backoff * (2 ** attempt))
+
+
+def in_chunks(keys):
+    """Split ``keys`` into ``IN (...)`` lists of a few fixed lengths.
+
+    Yields ``(chunk, marks)``: at most :data:`IN_CHUNK` keys, padded to
+    a power of two by repeating the last key, and the matching
+    ``?,?,...`` placeholder text. Every distinct list length is one more
+    prepared statement in the connection's statement cache, which a
+    server answering polls of every size would otherwise fill; padding
+    bounds the shapes to ten per statement.
+    """
+    keys = list(keys)
+    for start in range(0, len(keys), IN_CHUNK):
+        chunk = keys[start:start + IN_CHUNK]
+        chunk += chunk[-1:] * ((1 << (len(chunk) - 1).bit_length()) - len(chunk))
+        yield chunk, ",".join("?" * len(chunk))
 
 
 def connect_sqlite(path: str, busy_timeout: float = BUSY_TIMEOUT) -> sqlite3.Connection:
@@ -158,6 +178,8 @@ class SqliteBackend:
     """
 
     kind = "sqlite"
+    #: Local files need no credentials (see ``HttpBackend.token``).
+    token = None
 
     def __init__(self, path: str, busy_timeout: float = BUSY_TIMEOUT) -> None:
         self.path = os.fspath(path)
@@ -211,15 +233,7 @@ class SqliteBackend:
         keys = list(keys)
         out = {key: None for key in keys}
         with self._lock:
-            for start in range(0, len(keys), 500):
-                chunk = keys[start:start + 500]
-                # Pad the IN list to a power of two: every distinct
-                # length is one more prepared statement in the
-                # connection's statement cache, which a server answering
-                # polls of every size would otherwise fill.
-                chunk += chunk[-1:] * ((1 << (len(chunk) - 1).bit_length())
-                                       - len(chunk))
-                marks = ",".join("?" for _ in chunk)
+            for chunk, marks in in_chunks(keys):
                 rows = retry_busy(lambda c=chunk, m=marks: list(
                     self._conn.execute(
                         f"SELECT key, value FROM {table} WHERE key IN ({m})", c

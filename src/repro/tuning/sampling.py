@@ -63,7 +63,6 @@ class OrdinalSampler:
         self.param = param
         n = len(param.values)
         self.sigma = max(0.5, (n - 1) / 2.0)
-        self._initial_sigma = self.sigma
 
     def sample(self, rng: random.Random, parent_value=None, parent_weight: float = 0.0):
         values = self.param.values
@@ -82,9 +81,6 @@ class OrdinalSampler:
         """Tighten the spread after an iteration (never fully collapses,
         so late iterations still explore adjacent candidates)."""
         self.sigma = max(0.35, self.sigma * factor)
-
-    def reset(self) -> None:
-        self.sigma = self._initial_sigma
 
 
 class ConfigSampler:
@@ -118,9 +114,3 @@ class ConfigSampler:
                 sampler.update(values, rate)
             else:
                 sampler.shrink(shrink)
-
-    def soft_restart(self) -> None:
-        """Re-widen ordinal spreads after premature convergence."""
-        for sampler in self._samplers.values():
-            if isinstance(sampler, OrdinalSampler):
-                sampler.reset()

@@ -5,10 +5,12 @@ suite: the ``queue`` fixture is parametrized over the SQLite
 implementation and :class:`repro.service.client.HttpQueue` against a
 live in-process :class:`repro.service.server.ExperimentService`, so
 every lease/retry/dead-letter semantic below is asserted once and
-holds on both transports. Only :class:`TestSchema` stays SQLite-only
-(it pokes the raw connection).
+holds on both transports. Only :class:`TestSchema` and
+:class:`TestStatementShapes` stay SQLite-only (they poke the raw
+connection).
 """
 
+import re
 import time
 
 import pytest
@@ -68,6 +70,30 @@ class TestEnqueue:
 
     def test_empty_enqueue(self, queue):
         assert queue.enqueue([]) == 0
+
+    def test_enqueue_revives_dead_keys_only(self, queue):
+        """Resubmission is fresh intent: a dead key gets its claim budget
+        back; queued, leased and done rows keep every column."""
+        queue.enqueue(_tasks(4))
+        for _ in range(3):  # task-000 (oldest) dies after three failures
+            task = queue.claim("w1")
+            queue.fail(task.key, "w1", "boom")
+        done = queue.claim("w1")
+        queue.complete(done.key, "w1")
+        leased = queue.claim("w2", lease_seconds=60.0)
+        (lease_before,) = queue.leases()
+        keys = [key for key, _kind, _payload in _tasks(4)]
+        assert queue.states(keys) == {"task-000": "dead", "task-001": "done",
+                                      "task-002": "leased", "task-003": "queued"}
+
+        assert queue.enqueue(_tasks(4)) == 1  # only the dead row counts
+        assert queue.states(keys) == {"task-000": "queued", "task-001": "done",
+                                      "task-002": "leased", "task-003": "queued"}
+        assert queue.leases() == [lease_before]
+        assert leased.key == "task-002" and queue.retries() == 0
+        revived = queue.claim("w3")
+        assert revived.key == "task-000" and revived.attempts == 1
+        assert queue.claim("w3").attempts == 1  # task-003, never claimed
 
 
 class TestClaim:
@@ -508,6 +534,24 @@ class TestSchema:
             assert q.depth() == 1
         assert store.stats()["sim_results"] == 0
         store.close()
+
+
+class TestStatementShapes:
+    def test_states_reuses_a_few_statement_shapes(self, tmp_path):
+        """``IN (...)`` lists are padded to powers of two, so polls of
+        every outstanding-set size share a handful of prepared
+        statements instead of filling the statement cache."""
+        with JobQueue(tmp_path / "q.sqlite") as q:
+            q.enqueue(_tasks(300))
+            keys = [key for key, _kind, _payload in _tasks(300)]
+            texts = set()
+            # The callback sees bound values expanded; fold them back.
+            q._conn.set_trace_callback(
+                lambda sql: texts.add(re.sub(r"'[^']*'", "?", sql)))
+            for n in range(1, 301):
+                assert len(q.states(keys[:n])) == n
+            q._conn.set_trace_callback(None)
+        assert 0 < len(texts) <= 10, sorted(texts)
 
 
 class TestCommitDrivenWakeups:

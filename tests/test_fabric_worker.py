@@ -369,6 +369,44 @@ class TestFabricExecutor:
                                       "done": 1, "dead": 0}
         store.close()
 
+    def test_submit_is_one_enqueue_and_no_store_read(self, store_path):
+        """The engine's one store read answers the batch's hits; the
+        executor enqueues every miss in one queue call, with no second
+        store check and no separate dead-letter revive."""
+        store = open_store(store_path)
+        executor = FabricExecutor(store, poll=0.02, timeout=60)
+        engine = EvaluationEngine(workloads=WORKLOADS, scale=SCALE,
+                                  store=store, executor=executor)
+        calls = []
+
+        def spy(obj, name, tag):
+            original = getattr(obj, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(tag)
+                return original(*args, **kwargs)
+
+            setattr(obj, name, recorded)
+
+        for name in ("enqueue", "requeue_dead", "cancel", "states"):
+            spy(executor.queue, name, name)
+        spy(store.backend, "get_many", "store read")
+        spy(executor, "submit", "submit")
+        base = cortex_a53_public_config()
+        pairs = [(base.with_updates({"l1d.hit_latency": i + 1}), wl.name)
+                 for i in range(2) for wl in WORKLOADS]
+        worker, thread = run_worker_in_background(store_path)
+        try:
+            engine.simulate_batch(pairs)
+        finally:
+            worker.stop()
+            thread.join(timeout=10)
+            engine.close()
+        assert calls[:3] == ["store read", "submit", "enqueue"]
+        assert calls.count("enqueue") == 1 and "requeue_dead" not in calls
+        assert engine.telemetry.unique_trials == len(pairs)
+        store.close()
+
     def test_no_store_writeback_after_fabric_batch(self, store_path):
         """The engine must not rewrite results the workers already
         persisted (write traffic on the shared file would double)."""

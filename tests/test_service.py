@@ -563,6 +563,40 @@ class TestExecutorOverHttp:
         large = self._submit_requests(tmp_path, 32, stats)
         assert small == large, (small, large)
 
+    def test_submit_is_two_round_trips(self, tmp_path):
+        """Once handshaken, a driver's ``submit_batch`` is one store
+        read and one enqueue on the wire, however many pairs it has."""
+        from repro.core.config import cortex_a53_public_config
+        from repro.engine import EvaluationEngine
+        from repro.engine.executors import FabricExecutor
+        from repro.store import open_store
+        from repro.workloads.microbench import MICROBENCHMARKS
+
+        svc = ExperimentService(tmp_path / "two.sqlite", token=TOKEN,
+                                port=0).start()
+        store = open_store(svc.url, token=TOKEN)
+        executor = FabricExecutor(store)
+        engine = EvaluationEngine(workloads=[MICROBENCHMARKS["CCa"]], scale=0.25,
+                                  store=store, executor=executor)
+        clients = (store.backend.client, executor.queue.client)
+        base = cortex_a53_public_config()
+        try:
+            requests = []
+            for first in (1, 101):  # the first batch also pays the handshake
+                pairs = [(base.with_updates({"l1d.hit_latency": first + i}), "CCa")
+                         for i in range(16)]
+                before = sum(c.telemetry()["wire_requests"] for c in clients)
+                ticket = engine.submit_batch(pairs)
+                requests.append(
+                    sum(c.telemetry()["wire_requests"] for c in clients) - before)
+                assert len(ticket.pending) == 16
+            assert requests[1] == 2, requests
+        finally:
+            engine.close()
+            store.close()
+            svc.stop()
+            svc.close()
+
     def test_unknown_backend_kind_rejected(self):
         from repro.engine.executors import FabricExecutor
         from repro.store import open_store

@@ -258,3 +258,18 @@ class TestBackends:
     def test_result_store_wraps_any_backend(self):
         store = ResultStore(MemoryBackend())
         assert store.stats()["backend"] == "memory"
+
+
+class TestInChunks:
+    def test_chunks_at_500_and_pads_to_a_power_of_two(self):
+        from repro.store.backend import in_chunks
+
+        keys = [f"k{i}" for i in range(1100)]
+        chunks = list(in_chunks(keys))
+        assert [len(chunk) for chunk, _marks in chunks] == [512, 512, 128]
+        for chunk, marks in chunks:
+            assert marks.count("?") == len(chunk)
+        # Padding repeats each chunk's last key; the keys are all there.
+        assert [dict.fromkeys(chunk) for chunk, _marks in chunks] == [
+            dict.fromkeys(keys[i:i + 500]) for i in (0, 500, 1000)]
+        assert list(in_chunks([])) == []
