@@ -21,25 +21,27 @@ to a serial one by construction rather than by testing.
 Lifecycle:
 
 1. register in ``fabric_workers`` (pid/host/heartbeat row);
-2. claim loop — lease a task, execute, ``complete``/``fail``; a
-   background thread heartbeats every held lease at a third of the
-   lease interval and refreshes the worker row with engine telemetry;
+2. claim loop — lease a batch of tasks, execute each, ``complete``/
+   ``fail``; a background thread heartbeats every held lease at a third
+   of the lease interval and refreshes the worker row;
 3. exit on ``max_tasks`` executed, ``max_idle`` seconds without work,
    ``drain`` finding the queue empty, or :meth:`FabricWorker.stop`.
 
-The loop is *pipelined*: while the main thread simulates, a dispatcher
-thread prefetch-claims the next tasks (payloads decoded and store
-checks pre-answered as they are claimed) and flushes finished
-completions through ``complete_many`` — so claim and completion round
-trips overlap compute instead of serialising with it. Execution itself
-stays on the main thread (subclasses override
-:meth:`FabricWorker._execute` and the engine caches are not
-thread-safe). On a clean exit, a prefetched-but-unstarted task is
-handed back via ``release`` with its claim attempt refunded.
+One thread does all of it: the thread that calls :meth:`FabricWorker.run`
+executes the tasks *and* makes every claim, result write and ack, in
+the gaps between kernels, which last milliseconds. When nothing is
+claimed ahead it flushes every finished task, then claims up to
+:data:`~FabricWorker.PREFETCH_DEPTH` more (payloads decoded and store
+checks pre-answered as they are claimed). After each task it flushes
+once :data:`~FabricWorker.FLUSH_BATCH` completions wait or the oldest
+is :data:`~FabricWorker.FLUSH_AGE` old. No second thread has to win the
+GIL back from a running kernel before it can touch the wire, and no
+handshake decides who claims. On a clean exit, a claimed-but-unstarted
+task is handed back via ``release`` with its claim attempt refunded.
 
 A SIGKILL at any point needs no cleanup: the heartbeat stops, every
-held lease (active and prefetched) expires, the tasks are claimed
-elsewhere, and the half-finished worker's partial writes were
+held lease (running, claimed ahead and unacked) expires, the tasks are
+claimed elsewhere, and the half-finished worker's partial writes were
 content-addressed and idempotent.
 """
 
@@ -57,7 +59,6 @@ from dataclasses import asdict, dataclass, field
 from repro.engine import EvaluationEngine
 from repro.fabric.queue import DEFAULT_LEASE, open_queue
 from repro.fabric.tasks import KIND_SIMULATE, KIND_SLEEP, rebuild_config, resolve_decoder
-from repro.pacing import Pacer
 from repro.store import open_store
 from repro.store.resultstore import ResultStore
 from repro.store.serialize import (
@@ -68,12 +69,11 @@ from repro.store.serialize import (
 class _WriteBehindStore(ResultStore):
     """The worker engines' store view: sim-result writes are buffered.
 
-    The dispatcher thread flushes the buffer — one ``put_sim_many``
-    round trip — immediately *before* the matching completion acks, so
-    the ``done implies result readable`` ordering the executors rely on
-    is preserved while the write leaves the execute thread's critical
-    path. Reads check the buffer first so a not-yet-flushed result is
-    never recomputed.
+    The worker flushes the buffer — one ``put_sim_many`` round trip —
+    immediately *before* the matching completion acks, so the ``done
+    implies result readable`` ordering the executors rely on is
+    preserved while a batch of tasks shares one write. Reads check the
+    buffer first so a not-yet-flushed result is never recomputed.
     """
 
     def __init__(self, inner: ResultStore, worker: "FabricWorker") -> None:
@@ -87,9 +87,9 @@ class _WriteBehindStore(ResultStore):
         return self.get_sims([key])[key]
 
     def get_sims(self, keys) -> dict:
-        """Answer from the write-behind buffer, then the dispatcher's
-        claim-time precheck; only keys neither holds reach the backend
-        (one ``get_many``, skipped when there are none)."""
+        """Answer from the write-behind buffer, then the claim-time
+        precheck; only keys neither holds reach the backend (one
+        ``get_many``, skipped when there are none)."""
         out: dict = {}
         ask = []
         for key in keys:
@@ -99,7 +99,7 @@ class _WriteBehindStore(ResultStore):
                 continue
             found, row = self._worker._take_precheck(encode_key(key))
             if found:
-                # The dispatcher already asked the store; a ``None`` row
+                # The claim already asked the store; a ``None`` row
                 # is an authoritative recent miss (a racing duplicate
                 # landing in between merely costs one idempotent
                 # recompute).
@@ -148,7 +148,7 @@ class FabricWorker:
         at ``lease / 3``, so this bounds crash-detection latency, not
         task duration.
     poll:
-        Sleep between empty claim attempts, seconds.
+        How long a claim waits on an empty queue, seconds.
     max_tasks:
         Exit after executing this many tasks (``None`` = unbounded).
     max_idle:
@@ -204,23 +204,21 @@ class FabricWorker:
         )
         self.stats = WorkerStats()
         self._engines: dict = {}
-        self._active_key: str = None
         self._stop = threading.Event()
-        # Pipelining state, all guarded by _io_cv: tasks the dispatcher
-        # prefetch-claimed but the main loop has not started, finished
-        # tasks awaiting a batched completion ack, and whether the main
-        # loop wants the next task prefetched right now.
-        self._io_cv = threading.Condition()
+        # The leases this worker holds: tasks claimed ahead but not
+        # started, the running one, and finished tasks awaiting a
+        # batched ack. Only the run() thread changes them; the lock lets
+        # the heartbeat thread take a consistent snapshot.
+        self._held = threading.Lock()
         self._pending: deque = deque()
-        self._outbox: deque = deque()
+        self._active_key: str = None
+        self._outbox: list = []
         self._results: list = []  # [(key, stats)] awaiting a batched flush
-        self._decoded: dict = {}  # task key -> prefetch-decoded SimConfig
-        self._precheck: dict = {}  # task key -> prefetched store row (or None)
-        self._want_prefetch = False
-        self._dispatch_error = None
+        self._decoded: dict = {}  # task key -> claim-decoded SimConfig
+        self._precheck: dict = {}  # task key -> claim-time store row (or None)
         self._last_beat = 0.0
-        # Engines write through this view; the dispatcher flushes its
-        # buffer ahead of each completion batch.
+        # Engines write through this view; each flush writes its buffer
+        # ahead of the completion batch.
         self._engine_store = _WriteBehindStore(self.store, self)
 
     # ------------------------------------------------------------------
@@ -289,17 +287,14 @@ class FabricWorker:
     def _claim(self, n: int, wait: float = None) -> list:
         """Lease up to ``n`` tasks, each decoded and store-prechecked.
 
-        The one way this worker claims: the dispatcher's prefetch
-        (``n`` = its budget, no wait) and the main loop's idle
-        long-poll (``n`` = 1, ``wait`` = ``poll``) both come here. Each
-        claimed simulation's :class:`SimConfig` is rebuilt and the
+        Each claimed simulation's :class:`SimConfig` is rebuilt and the
         engine's store check (was this key already computed
         elsewhere?) pre-answered — by the claim request itself over
         HTTP (``claim_many_prechecked``), by one batched ``get_many``
-        on a local queue — so the execute thread starts simulating
-        without a parse or a round trip. Best-effort: any failure here
-        simply leaves the main loop to do the work — and raise its
-        own, properly-attributed error.
+        on a local queue — so a task starts simulating without a parse
+        or a round trip. Best-effort: any failure here simply leaves
+        the task's execution to do the work — and raise its own,
+        properly-attributed error.
         """
         fused = getattr(self.queue, "claim_many_prechecked", None)
         if fused is not None:
@@ -318,9 +313,8 @@ class FabricWorker:
             rows = {key: rows.get(key) for key in keys}
         except Exception:  # noqa: BLE001 — execute path re-raises for real
             return tasks
-        with self._io_cv:
-            self._decoded.update(decoded)
-            self._precheck.update(rows)
+        self._decoded.update(decoded)
+        self._precheck.update(rows)
         return tasks
 
     # ------------------------------------------------------------------
@@ -328,60 +322,61 @@ class FabricWorker:
     # ------------------------------------------------------------------
     def _buffer_results(self, items) -> int:
         items = list(items)
-        with self._io_cv:
-            self._results.extend(items)
-            self._io_cv.notify_all()
+        self._results.extend(items)
         return len(items)
 
     def _buffered_result(self, key):
-        with self._io_cv:
-            for buffered_key, stats in self._results:
-                if buffered_key == key:
-                    return stats
+        for buffered_key, stats in self._results:
+            if buffered_key == key:
+                return stats
         return None
 
     def _take_precheck(self, encoded_key: str) -> tuple:
-        """``(found, raw_row)`` from the dispatcher's store precheck."""
-        sentinel = object()
-        with self._io_cv:
-            row = self._precheck.pop(encoded_key, sentinel)
-        if row is sentinel:
+        """``(found, raw_row)`` from the claim-time store precheck."""
+        if encoded_key not in self._precheck:
             return False, None
-        return True, row
+        return True, self._precheck.pop(encoded_key)
 
-    def _flush_results(self) -> None:
-        """Persist every buffered sim result (one store round trip)."""
-        with self._io_cv:
-            results = list(self._results)
-            self._results.clear()
-        if results:
-            self.store.put_sim_many(results)
+    def _flush(self) -> None:
+        """Write every buffered result, then ack every finished task.
 
-    def _flush_completions(self, batch) -> list:
-        """Flush buffered results, then ack ``batch`` — fused if possible.
-
-        An :class:`~repro.service.client.HttpQueue` accepts the result
-        rows inside the completion request itself
-        (``complete_many_with_results``), collapsing the store write
-        and the ack into one round trip; the server writes the rows
-        before marking anything done, preserving the results-before-ack
-        invariant. Local queues fall back to two calls (the store write
-        is a local transaction there, not a round trip).
+        Results first, acks second: a completion must never become
+        visible before its result row. An
+        :class:`~repro.service.client.HttpQueue` accepts the rows inside
+        the completion request itself (``complete_many_with_results``),
+        and the server writes them before marking anything done — one
+        round trip. Local queues make two calls (the store write is a
+        local transaction there, not a round trip). The finished tasks
+        stay in the outbox, their leases renewed by the heartbeat, until
+        the ack returns.
         """
-        with self._io_cv:
-            if not batch and not self._results:
-                return []
+        batch, results = self._outbox, self._results
+        if not batch and not results:
+            return
         items = [(task.key, self.worker_id) for task in batch]
         fused = getattr(self.queue, "complete_many_with_results", None)
         if fused is None:
-            self._flush_results()
-            return self.queue.complete_many(items)
-        with self._io_cv:
-            results = list(self._results)
-            self._results.clear()
-        rows = [(encode_key(key), dumps(stats_to_payload(stats)))
-                for key, stats in results]
-        return fused(items, rows)
+            if results:
+                self.store.put_sim_many(results)
+            oks = self.queue.complete_many(items)
+        else:
+            rows = [(encode_key(key), dumps(stats_to_payload(stats)))
+                    for key, stats in results]
+            oks = fused(items, rows)
+        self._results = []
+        with self._held:
+            self._outbox = []
+        for task, ok in zip(batch, oks):
+            if ok:
+                self.stats.completed += 1
+                self._log(f"done {task.kind} (attempt "
+                          f"{task.attempts}/{task.max_attempts})")
+            else:
+                # Lease expired mid-task and someone else owns it now;
+                # the content-addressed result write was idempotent, so
+                # this is bookkeeping, not loss.
+                self.stats.lost_leases += 1
+                self._log("lease lost before completion")
 
     # ------------------------------------------------------------------
     # Task execution
@@ -398,8 +393,7 @@ class FabricWorker:
     def _execute_simulate(self, task) -> None:
         payload = task.payload
         engine = self._engine_for(payload["scale"], payload["decoder"])
-        with self._io_cv:
-            config = self._decoded.pop(task.key, None)
+        config = self._decoded.pop(task.key, None)
         if config is None:  # the claim-time decode failed; fail here
             config = rebuild_config(payload["config"])
         workload = payload["workload"]
@@ -425,24 +419,34 @@ class FabricWorker:
     # ------------------------------------------------------------------
     # Claim loop
     # ------------------------------------------------------------------
+    #: Completion acks flush as soon as this many pile up ...
+    FLUSH_BATCH = 4
+    #: ... or when the oldest unacked completion is this old, seconds.
+    #: Both are checked between tasks; a claim always flushes first.
+    FLUSH_AGE = 0.05
+    #: Tasks one claim leases when nothing is claimed ahead. Sized so
+    #: one claim round trip (~2 ms over HTTP) is shared by enough work
+    #: to keep the worker compute-bound on sub-ms tasks — yet shallow
+    #: enough that a SIGKILLed worker strands only a handful of
+    #: (expiring) leases.
+    PREFETCH_DEPTH = 6
+
     def run(self) -> WorkerStats:
         """Claim and execute until an exit condition; returns the stats.
 
         ``stats.claimed`` counts tasks the loop *started executing*; a
-        prefetched task handed back on exit (``release``) is neither
+        claimed-ahead task handed back on exit (``release``) is neither
         claimed nor charged against the task's retry budget.
         """
         beat = threading.Thread(target=self._heartbeat_loop, daemon=True)
         beat.start()
-        dispatcher = threading.Thread(target=self._dispatch_loop, daemon=True)
-        dispatcher.start()
         last_work = time.time()
+        oldest = 0.0  # when the outbox last went nonempty
         try:
-            while not self._stop.is_set():
-                if self._dispatch_error is not None:
-                    raise self._dispatch_error
-                task = self._next_task()
-                if task is None:
+            while not self._stop.is_set() and (
+                    self.max_tasks is None
+                    or self.stats.claimed < self.max_tasks):
+                if not self._pending and not self._claim_ahead():
                     if self.drain:
                         break
                     if (self.max_idle is not None
@@ -451,40 +455,35 @@ class FabricWorker:
                         break
                     continue
                 last_work = time.time()
+                with self._held:
+                    task = self._pending.popleft()
+                    self._active_key = task.key
                 self.stats.claimed += 1
-                self._active_key = task.key
-                # Overlap the next claim with this task's execution —
-                # unless the budget says this is the last one.
-                if self.max_tasks is None or (
-                        self.stats.claimed + len(self._pending)
-                        < self.max_tasks):
-                    with self._io_cv:
-                        self._want_prefetch = True
-                        self._io_cv.notify_all()
                 try:
                     self._execute(task)
                 except Exception as exc:  # noqa: BLE001 — task isolation
-                    self._active_key = None
                     state = self.queue.fail(task.key, self.worker_id,
                                             f"{type(exc).__name__}: {exc}")
+                    with self._held:
+                        self._active_key = None
                     self.stats.failed += 1
                     self._log(f"task failed ({state}): {exc}")
                 else:
-                    self._active_key = None
-                    with self._io_cv:
+                    with self._held:
+                        self._active_key = None
                         self._outbox.append(task)
-                        self._io_cv.notify_all()
+                    if len(self._outbox) == 1:
+                        oldest = time.monotonic()
+                if self._outbox and (
+                        len(self._outbox) >= self.FLUSH_BATCH
+                        or time.monotonic() - oldest >= self.FLUSH_AGE):
+                    self._flush()
                 now = time.time()
                 if now - self._last_beat >= max(0.5, self.lease / 6.0):
                     self._last_beat = now
                     self._beat_row()
-                if self.max_tasks is not None and self.stats.claimed >= self.max_tasks:
-                    break
         finally:
             self._stop.set()
-            with self._io_cv:
-                self._io_cv.notify_all()
-            dispatcher.join(timeout=5.0)
             self._shutdown_queue_state()
             beat.join(timeout=2.0)
             self.stats.telemetry = self._telemetry()
@@ -493,168 +492,45 @@ class FabricWorker:
             except Exception:  # noqa: BLE001 — stats beat is best-effort
                 pass
             self.close()
-        if self._dispatch_error is not None and not self.stats.claimed:
-            raise self._dispatch_error
         return self.stats
 
-    def _next_task(self) -> object:
-        """The next task to execute: prefetched if available, else a
-        claim of one (long-polling ``poll`` seconds unless draining)."""
-        deadline = time.monotonic() + 0.2
-        with self._io_cv:
-            while (not self._pending and self._want_prefetch
-                   and not self._stop.is_set()
-                   and self._dispatch_error is None
-                   and time.monotonic() < deadline):
-                self._io_cv.wait(0.05)
-            if self._pending:
-                return self._pending.popleft()
-            # Take claiming back from the dispatcher; a prefetch that
-            # still lands in parallel just parks in _pending for the
-            # next iteration.
-            self._want_prefetch = False
-        if self._stop.is_set():
-            return None
-        tasks = self._claim(1, None if self.drain else self.poll)
-        return tasks[0] if tasks else None
+    def _claim_ahead(self) -> bool:
+        """Flush what is finished, then claim the next batch.
 
-    #: Completion acks flush as soon as this many pile up ...
-    FLUSH_BATCH = 4
-    #: ... or when the oldest unacked completion is this old, seconds
-    #: (bounded below so quick bench/poll settings still batch a little).
-    FLUSH_AGE = 0.05
-    #: Prefetched-task pipeline: top up (batched claim) when the buffer
-    #: falls below half, fill to this depth. Sized so one claim round
-    #: trip (~2 ms over HTTP) fetches more work than the execute thread
-    #: can drain in that time, keeping the worker compute-bound on
-    #: sub-ms tasks — yet shallow enough that a SIGKILLed worker
-    #: strands only a handful of (expiring) leases.
-    PREFETCH_DEPTH = 6
-
-    def _dispatch_loop(self) -> None:
-        """Background wire I/O: prefetch claims + batched completions.
-
-        Runs until :meth:`stop` *and* the outbox is flushed. Prefetch
-        takes priority — the execute thread may be waiting on it —
-        then completion acks flush in batches (size- or age-triggered,
-        :data:`FLUSH_BATCH`/:data:`FLUSH_AGE`) so N fast tasks cost one
-        result write plus one ``complete_many`` instead of 2N round
-        trips. Once the queue runs dry (nothing prefetched, the last
-        claim came back short) there is nothing left to batch with, so
-        completions flush at once: the last results of a race step
-        never wait out :data:`FLUSH_AGE`. Idle naps are paced by
-        :class:`~repro.pacing.Pacer` (0.05 s up to ``poll``) so an
-        empty queue is not hammered while a long task executes.
+        Called only when nothing is claimed ahead, so every completion
+        is acked before the worker can wait on an empty queue: the last
+        results of a race step never sit out :data:`FLUSH_AGE`. Claims
+        up to :data:`PREFETCH_DEPTH` tasks, never past ``max_tasks``,
+        long-polling ``poll`` seconds unless draining. Returns whether
+        anything was claimed.
         """
-        pacer = Pacer(0.05, self.poll)
-        oldest = None  # when the current outbox went nonempty
-        dry = False  # the last prefetch claim came back short
-        try:
-            while True:
-                with self._io_cv:
-                    stop = self._stop.is_set()
-                    # _want_prefetch is the main loop's standing
-                    # permission to claim (it re-grants at every task
-                    # start, budget allowing); top the pipeline up
-                    # whenever it runs low so the execute thread finds
-                    # the next task already claimed and decoded.
-                    budget = self.PREFETCH_DEPTH - len(self._pending)
-                    if self.max_tasks is not None:
-                        budget = min(budget, (
-                            self.max_tasks - self.stats.claimed
-                            - len(self._pending)))
-                    want = (self._want_prefetch and not stop
-                            and len(self._pending) <= self.PREFETCH_DEPTH // 2
-                            and budget > 0)
-                    size = len(self._outbox)
-                    granted = self._want_prefetch
-                    drained = dry and not self._pending
-                if size and oldest is None:
-                    oldest = time.monotonic()
-                if want:
-                    tasks = self._claim(budget)
-                    dry = len(tasks) < budget
-                    with self._io_cv:
-                        self._pending.extend(tasks)
-                        drained = dry and not self._pending
-                        if dry:
-                            # Queue ran dry: drop the permission so the
-                            # main thread stops waiting on us and runs
-                            # its own long-poll claim instead of
-                            # burning its brief deadline.
-                            self._want_prefetch = False
-                        self._io_cv.notify_all()
-                    if tasks:
-                        pacer.reset()
-                        continue
-                if size and (stop or drained or size >= self.FLUSH_BATCH
-                             or time.monotonic() - oldest >= self.FLUSH_AGE):
-                    with self._io_cv:
-                        batch = list(self._outbox)
-                        self._outbox.clear()
-                    oldest = None
-                    # Results first, acks second: a completion must
-                    # never become visible before its result row. When
-                    # the queue speaks the fused endpoint (HTTP), the
-                    # buffered rows ride the completion request and the
-                    # server enforces that order in one round trip.
-                    oks = self._flush_completions(batch)
-                    for task, ok in zip(batch, oks):
-                        if ok:
-                            self.stats.completed += 1
-                            self._log(
-                                f"done {task.kind} (attempt "
-                                f"{task.attempts}/{task.max_attempts})")
-                        else:
-                            # Lease expired mid-task and someone else
-                            # owns it now; the content-addressed result
-                            # write was idempotent, so this is
-                            # bookkeeping, not loss.
-                            self.stats.lost_leases += 1
-                            self._log("lease lost before completion")
-                    continue
-                with self._io_cv:
-                    if self._stop.is_set() and not self._outbox:
-                        return
-                    if (len(self._outbox) != size
-                            or (self._want_prefetch and not granted)):
-                        continue  # woken while busy above: don't sleep
-                    nap = pacer.nap()
-                    if self._outbox and oldest is not None:
-                        due = self.FLUSH_AGE - (time.monotonic() - oldest)
-                        nap = max(0.001, min(nap, due))
-                    self._io_cv.wait(nap)
-        except BaseException as exc:  # noqa: BLE001 — surfaced to run()
-            self._dispatch_error = exc
-            self._stop.set()
-            with self._io_cv:
-                self._io_cv.notify_all()
+        self._flush()
+        budget = self.PREFETCH_DEPTH
+        if self.max_tasks is not None:
+            budget = min(budget, self.max_tasks - self.stats.claimed)
+        tasks = self._claim(budget, None if self.drain else self.poll)
+        with self._held:
+            self._pending.extend(tasks)
+        return bool(tasks)
 
     def _shutdown_queue_state(self) -> None:
-        """Flush completions the dispatcher left and hand back leases.
+        """Flush the last completions and hand back unstarted leases.
 
         Best-effort by design: if the queue is unreachable the leases
         expire on their own and the tasks are re-run elsewhere — the
         content-addressed results make that merely redundant.
         """
-        with self._io_cv:
-            leftover = list(self._outbox)
-            self._outbox.clear()
-            pending = list(self._pending)
-            self._pending.clear()
         try:
-            oks = self._flush_completions(leftover)
-            for ok in oks:
-                if ok:
-                    self.stats.completed += 1
-                else:
-                    self.stats.lost_leases += 1
+            self._flush()
         except Exception as exc:  # noqa: BLE001 — lease expiry covers us
             self._log(f"completion flush failed on exit: {exc}")
+        with self._held:
+            pending = list(self._pending)
+            self._pending.clear()
         for task in pending:
             try:
                 self.queue.release(task.key, self.worker_id)
-                self._log(f"released unstarted prefetch {task.key}")
+                self._log(f"released unstarted claim {task.key}")
             except Exception as exc:  # noqa: BLE001 — lease expiry covers us
                 self._log(f"release failed on exit: {exc}")
 
@@ -665,15 +541,14 @@ class FabricWorker:
         )
 
     def _held_keys(self) -> list:
-        """Every lease this worker currently holds (active, prefetched,
-        finished-but-unacked) — all renewed by the heartbeat."""
-        keys = []
-        active = self._active_key
+        """Every lease this worker currently holds (claimed ahead,
+        running, finished-but-unacked) — all renewed by the heartbeat."""
+        with self._held:
+            tasks = [*self._pending, *self._outbox]
+            active = self._active_key
+        keys = [task.key for task in tasks]
         if active is not None:
             keys.append(active)
-        with self._io_cv:
-            keys.extend(task.key for task in self._pending)
-            keys.extend(task.key for task in self._outbox)
         return keys
 
     def _heartbeat_loop(self) -> None:

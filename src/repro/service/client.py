@@ -135,8 +135,9 @@ class ServiceClient:
         self._host = parts.hostname or "127.0.0.1"
         self._port = parts.port or (443 if self._scheme == "https" else 80)
         # One persistent connection per thread: the client is shared by
-        # a worker's main loop, its heartbeat thread and the pipelining
-        # dispatcher, and http.client connections are not thread-safe.
+        # a worker's run loop and its heartbeat thread (and by a
+        # driver's threads), and http.client connections are not
+        # thread-safe.
         self._local = threading.local()
         self._telemetry_lock = threading.Lock()
         self._counters = {"requests": 0, "bytes_out": 0, "bytes_in": 0,

@@ -1,5 +1,7 @@
 """Fabric worker + executor: distributed runs equal serial runs."""
 
+import contextlib
+import sqlite3
 import threading
 import time
 
@@ -192,6 +194,22 @@ class TestWorkerExecution:
         with JobQueue(store_path) as queue:
             assert queue.depth() == 1
 
+    def test_claim_budget_honours_max_tasks(self, store_path, monkeypatch):
+        """The session claims exactly its budget: nothing is claimed
+        past ``max_tasks`` only to be released again on exit."""
+        keys = [f"t{i}" for i in range(5)]
+        with JobQueue(store_path) as queue:
+            queue.enqueue([(key, "sleep", {"seconds": 0.0}) for key in keys])
+        worker = FabricWorker(store_path, max_tasks=2, poll=0.02)
+        released = []
+        monkeypatch.setattr(worker.queue, "release",
+                            lambda key, worker_id: released.append(key))
+        stats = worker.run()
+        assert stats.claimed == 2 and stats.completed == 2
+        assert released == []
+        rows = task_rows(store_path)
+        assert sorted(rows.values()) == [("done", 1)] * 2 + [("queued", 0)] * 3
+
 
 class TestWriteBehindReads:
     def test_get_sims_answers_buffer_and_precheck_without_the_backend(
@@ -242,6 +260,84 @@ def wait_for(predicate, timeout=30.0, interval=0.01):
     return False
 
 
+def task_rows(store_path) -> dict:
+    """``{key: (state, attempts)}`` for every queue row, read directly."""
+    with contextlib.closing(sqlite3.connect(store_path)) as conn:
+        return {key: (state, attempts) for key, state, attempts in conn.execute(
+            "SELECT key, state, attempts FROM fabric_tasks")}
+
+
+class TestOneIoThread:
+    """The thread that runs :meth:`FabricWorker.run` makes every claim,
+    result write, ack and release; only lease renewal runs beside it."""
+
+    #: Wire calls the run() thread must make itself, per object.
+    QUEUE_CALLS = ("claim_many", "claim_many_prechecked", "complete_many",
+                   "complete_many_with_results", "release")
+    #: Calls the heartbeat thread may make.
+    BEAT_CALLS = ("heartbeat", "worker_beat")
+
+    @pytest.fixture(params=["sqlite", "http"])
+    def spec(self, request, tmp_path):
+        if request.param == "sqlite":
+            yield str(tmp_path / "fabric.sqlite"), None
+            return
+        from repro.service.server import ExperimentService
+
+        service = ExperimentService(tmp_path / "svc.sqlite", token="io-thread",
+                                    port=0).start()
+        yield service.url, "io-thread"
+        service.stop()
+        service.close()
+
+    def test_wire_io_happens_on_the_run_thread(self, spec, monkeypatch):
+        spec, token = spec
+        config = cortex_a53_public_config()
+        plan = plan_simulations([(config, wl.name, SCALE, {}, Decoder())
+                                 for wl in WORKLOADS[:2]])
+        worker = FabricWorker(spec, drain=True, poll=0.02, token=token)
+        worker.queue.enqueue(
+            [*plan.tasks, *((f"nap{i}", "sleep", {"seconds": 0.01})
+                            for i in range(6))])
+        calls = []
+
+        def spy(obj, name):
+            original = getattr(obj, name, None)
+            if original is None:
+                return
+
+            def recorded(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(obj, name, recorded)
+
+        for name in (*self.QUEUE_CALLS, *self.BEAT_CALLS):
+            spy(worker.queue, name)
+        spy(worker.store.backend, "put_many")
+        # Stop after the fourth task so claimed-ahead tasks are released.
+        execute = worker._execute
+
+        def execute_then_maybe_stop(task):
+            execute(task)
+            if worker.stats.claimed == 4:
+                worker.stop()
+
+        monkeypatch.setattr(worker, "_execute", execute_then_maybe_stop)
+        stats = worker.run()
+        me = threading.get_ident()
+        assert stats.claimed == 4 and stats.completed == 4
+        names = {name for name, _thread in calls}
+        assert "release" in names
+        assert names & {"claim_many", "claim_many_prechecked"}
+        assert names & {"complete_many", "complete_many_with_results"}
+        if token is None:
+            assert "put_many" in names  # the local path writes separately
+        elsewhere = [name for name, thread in calls
+                     if thread != me and name not in self.BEAT_CALLS]
+        assert elsewhere == [], f"wire calls off the run() thread: {elsewhere}"
+
+
 class TestCompletionFlush:
     """Completions batch while work is in hand and flush when it runs out.
 
@@ -286,6 +382,68 @@ class TestCompletionFlush:
         # so it is a batch, not a lone key.
         assert batches[0] > 1, batches
         queue.close()
+
+    def test_results_are_readable_before_their_ack(
+            self, store_path, monkeypatch):
+        """Local path: each ``complete_many`` acks only keys whose result
+        rows another connection can already read."""
+        base = cortex_a53_public_config()
+        plan = plan_simulations(
+            [(base.with_updates({"l1d.hit_latency": n}), wl.name, SCALE, {},
+              Decoder()) for n in (2, 3) for wl in WORKLOADS])
+        with JobQueue(store_path) as queue:
+            queue.enqueue(plan.tasks)
+        unreadable = []
+        acked = []
+        complete_many = JobQueue.complete_many
+        check = open_store(store_path)
+
+        def spy(self, completions):
+            completions = list(completions)
+            keys = [key for key, _worker in completions]
+            rows = check.backend.get_many("sim_results", keys)
+            unreadable.extend(key for key in keys if rows.get(key) is None)
+            acked.extend(keys)
+            return complete_many(self, completions)
+
+        monkeypatch.setattr(JobQueue, "complete_many", spy)
+        try:
+            stats = FabricWorker(store_path, poll=0.02, drain=True).run()
+        finally:
+            check.close()
+        assert stats.completed == len(plan.tasks)
+        assert sorted(acked) == sorted(plan.keys)
+        assert unreadable == [], "acked before its result row was written"
+
+    def test_claimed_ahead_leases_survive_a_long_task(self, store_path):
+        """A task longer than the lease does not cost the tasks claimed
+        behind it their leases: the heartbeat renews them all."""
+        queue = JobQueue(store_path)
+        queue.enqueue([("long", "sleep", {"seconds": 2.0})])
+        queue.enqueue([(f"short{i}", "sleep", {"seconds": 0.0})
+                       for i in range(3)])
+        thief = JobQueue(store_path)
+        worker, thread = run_worker_in_background(store_path, lease=0.6,
+                                                  drain=True)
+        stolen = []
+
+        def long_task_done() -> bool:
+            stolen.extend(thief.claim_many("thief", 4))
+            return queue.states(["long"])["long"] == "done"
+
+        try:
+            assert wait_for(lambda: queue.states(["long"])["long"] == "leased")
+            assert wait_for(long_task_done), queue.counts()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        finally:
+            worker.stop()
+            thread.join(timeout=10)
+            thief.close()
+            queue.close()
+        assert stolen == []
+        assert worker.stats.lost_leases == 0 and worker.stats.claimed == 4
+        assert set(task_rows(store_path).values()) == {("done", 1)}
 
 
 class TestFabricExecutor:

@@ -1,8 +1,8 @@
 """The shared poll-pacing rule, on a virtual clock.
 
 ``nap = clamp(waited / 2, floor, cap)``: every idle poll loop on the
-fleet path (race frontier, the engine's executor drain, queue long-poll,
-worker dispatcher) uses it. Nothing here reads a wall clock: sleeps are
+fleet path (race frontier, the engine's executor drain, queue long-poll)
+uses it. Nothing here reads a wall clock: sleeps are
 recorded and added to a fake clock, so each bound below is exact.
 """
 
