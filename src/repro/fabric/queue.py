@@ -328,41 +328,51 @@ class JobQueue(TaskQueue):
         ).fetchone()[0])
 
     def _claim_batch(self, worker_id: str, n: int, lease: float) -> list:
+        """Lease up to ``n`` candidates, read with one sorted ``SELECT``.
+
+        The sort is the query's cost (its ``OR`` spans two index ranges
+        and needs a temporary B-tree), so the whole batch is read at
+        once. Only candidates dead-lettered for a spent claim budget
+        leave the batch short; then the next candidates are read.
+        """
         t = time.time()
         tasks: list = []
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             while len(tasks) < n:
-                row = self._conn.execute(
+                want = n - len(tasks)
+                rows = self._conn.execute(
                     "SELECT key, kind, payload, attempts, max_attempts"
                     " FROM fabric_tasks"
                     " WHERE state = 'queued'"
                     "    OR (state = 'leased' AND lease_expires <= ?)"
-                    " ORDER BY created, key LIMIT 1", (t,)
-                ).fetchone()
-                if row is None:
-                    break
-                key, kind, payload, attempts, max_attempts = row
-                if attempts >= max_attempts:
-                    # Claim budget exhausted (every prior lease died
-                    # without completing): dead-letter, don't re-lease.
-                    self._conn.execute(
-                        "UPDATE fabric_tasks SET state='dead', worker=NULL,"
-                        " lease_expires=NULL, updated=?,"
-                        " error=COALESCE(error,"
-                        "   'lease expired; claim budget exhausted')"
-                        " WHERE key=?", (t, key)
-                    )
-                    continue
-                self._conn.execute(
+                    " ORDER BY created, key LIMIT ?", (t, want)
+                ).fetchall()
+                # Claim budget exhausted (every prior lease died without
+                # completing): dead-letter, don't re-lease.
+                spent = [(t, row[0]) for row in rows if row[3] >= row[4]]
+                live = [row for row in rows if row[3] < row[4]]
+                self._conn.executemany(
+                    "UPDATE fabric_tasks SET state='dead', worker=NULL,"
+                    " lease_expires=NULL, updated=?,"
+                    " error=COALESCE(error,"
+                    "   'lease expired; claim budget exhausted')"
+                    " WHERE key=?", spent
+                )
+                self._conn.executemany(
                     "UPDATE fabric_tasks SET state='leased', worker=?,"
                     " lease_expires=?, attempts=?, updated=? WHERE key=?",
-                    (worker_id, t + lease, attempts + 1, t, key),
+                    [(worker_id, t + lease, row[3] + 1, t, row[0])
+                     for row in live],
                 )
-                tasks.append(Task(key=key, kind=kind,
+                tasks.extend(Task(key=key, kind=kind,
                                   payload=json.loads(payload),
                                   attempts=attempts + 1,
-                                  max_attempts=max_attempts))
+                                  max_attempts=max_attempts)
+                             for key, kind, payload, attempts, max_attempts
+                             in live)
+                if not spent or len(rows) < want:
+                    break
             self._conn.execute("COMMIT")
         except BaseException:
             self._conn.execute("ROLLBACK")

@@ -28,16 +28,21 @@ Lifecycle:
    ``drain`` finding the queue empty, or :meth:`FabricWorker.stop`.
 
 One thread does all of it: the thread that calls :meth:`FabricWorker.run`
-executes the tasks *and* makes every claim, result write and ack, in
-the gaps between kernels, which last milliseconds. When nothing is
-claimed ahead it flushes every finished task, then claims up to
-:data:`~FabricWorker.PREFETCH_DEPTH` more (payloads decoded and store
-checks pre-answered as they are claimed). After each task it flushes
-once :data:`~FabricWorker.FLUSH_BATCH` completions wait or the oldest
-is :data:`~FabricWorker.FLUSH_AGE` old. No second thread has to win the
-GIL back from a running kernel before it can touch the wire, and no
-handshake decides who claims. On a clean exit, a claimed-but-unstarted
-task is handed back via ``release`` with its claim attempt refunded.
+executes the tasks *and* makes every claim, result write and ack. Over
+HTTP each exchange — results, acks and a claim in one request — is sent
+before a kernel and its reply read after it, so the round trip travels
+while the kernel runs: before the last claimed task the worker sends
+its acks with a claim of up to :data:`~FabricWorker.PREFETCH_DEPTH`
+more (payloads decoded and store checks pre-answered as they arrive),
+and before any other task it sends the acks alone once
+:data:`~FabricWorker.FLUSH_BATCH` wait or the oldest is
+:data:`~FabricWorker.FLUSH_AGE` old. Only a dry queue leaves it waiting
+on the wire, in one long-poll claim that carries its last acks. A local
+queue runs the same loop, its calls completing at once. No second
+thread has to win the GIL back from a running kernel before it can
+touch the wire, and no handshake decides who claims. On a clean exit,
+a claimed-but-unstarted task is handed back via ``release`` with its
+claim attempt refunded.
 
 A SIGKILL at any point needs no cleanup: the heartbeat stops, every
 held lease (running, claimed ahead and unacked) expires, the tasks are
@@ -206,14 +211,17 @@ class FabricWorker:
         self._engines: dict = {}
         self._stop = threading.Event()
         # The leases this worker holds: tasks claimed ahead but not
-        # started, the running one, and finished tasks awaiting a
-        # batched ack. Only the run() thread changes them; the lock lets
-        # the heartbeat thread take a consistent snapshot.
+        # started, the running one, finished tasks awaiting a batched
+        # ack and those whose ack is in flight. Only the run() thread
+        # changes them; the lock lets the heartbeat thread take a
+        # consistent snapshot.
         self._held = threading.Lock()
         self._pending: deque = deque()
         self._active_key: str = None
         self._outbox: list = []
+        self._acking: list = []  # tasks whose ack is in flight
         self._results: list = []  # [(key, stats)] awaiting a batched flush
+        self._sent = None  # the open exchange: see _send
         self._decoded: dict = {}  # task key -> claim-decoded SimConfig
         self._precheck: dict = {}  # task key -> claim-time store row (or None)
         self._last_beat = 0.0
@@ -284,26 +292,21 @@ class FabricWorker:
                     total[name] = total.get(name, 0) + value
         return total
 
-    def _claim(self, n: int, wait: float = None) -> list:
-        """Lease up to ``n`` tasks, each decoded and store-prechecked.
+    def _prepare(self, tasks, rows) -> None:
+        """Decode each claimed simulation and pre-answer its store check.
 
         Each claimed simulation's :class:`SimConfig` is rebuilt and the
         engine's store check (was this key already computed
-        elsewhere?) pre-answered — by the claim request itself over
-        HTTP (``claim_many_prechecked``), by one batched ``get_many``
-        on a local queue — so a task starts simulating without a parse
-        or a round trip. Best-effort: any failure here simply leaves
-        the task's execution to do the work — and raise its own,
+        elsewhere?) pre-answered — by the claim reply itself over HTTP
+        (``rows``), by one batched ``get_many`` on a local queue — so a
+        task starts simulating without a parse or a round trip.
+        Best-effort: any failure here simply leaves the task's
+        execution to do the work — and raise its own,
         properly-attributed error.
         """
-        fused = getattr(self.queue, "claim_many_prechecked", None)
-        if fused is not None:
-            tasks, rows = fused(self.worker_id, n, wait=wait)
-        else:
-            tasks, rows = self.queue.claim_many(self.worker_id, n, wait=wait), None
         sims = [task for task in tasks if task.kind == KIND_SIMULATE]
         if not sims:
-            return tasks
+            return
         try:
             decoded = [(task.key, rebuild_config(task.payload["config"]))
                        for task in sims]
@@ -312,10 +315,9 @@ class FabricWorker:
                 rows = self.store.backend.get_many("sim_results", keys)
             rows = {key: rows.get(key) for key in keys}
         except Exception:  # noqa: BLE001 — execute path re-raises for real
-            return tasks
+            return
         self._decoded.update(decoded)
         self._precheck.update(rows)
-        return tasks
 
     # ------------------------------------------------------------------
     # Write-behind result buffer (see :class:`_WriteBehindStore`)
@@ -337,35 +339,78 @@ class FabricWorker:
             return False, None
         return True, self._precheck.pop(encoded_key)
 
-    def _flush(self) -> None:
-        """Write every buffered result, then ack every finished task.
+    # ------------------------------------------------------------------
+    # Exchanges: results, acks and a claim, sent now and read later
+    # ------------------------------------------------------------------
+    def _send(self, n: int, wait: float = None) -> None:
+        """Start an exchange: every buffered result, every finished
+        task's ack and, when ``n`` is positive, a claim of ``n`` tasks.
 
-        Results first, acks second: a completion must never become
-        visible before its result row. An
-        :class:`~repro.service.client.HttpQueue` accepts the rows inside
-        the completion request itself (``complete_many_with_results``),
-        and the server writes them before marking anything done — one
-        round trip. Local queues make two calls (the store write is a
-        local transaction there, not a round trip). The finished tasks
-        stay in the outbox, their leases renewed by the heartbeat, until
-        the ack returns.
+        Results first, acks second, the claim last: a completion must
+        never become visible before its result row, and a claim that
+        waits on an empty queue holds no unacked work. Over HTTP it is
+        one request (``send_claim``, or ``send_complete`` when ``n`` is
+        0), written now; :meth:`_receive` reads its reply, after the
+        next kernel when there is one. A local queue makes the calls at
+        once, since each is a local transaction: ``put_sim_many``,
+        ``complete_many``, ``claim_many``. The acked tasks keep their
+        leases, renewed by the heartbeat, until the reply is read.
         """
         batch, results = self._outbox, self._results
-        if not batch and not results:
-            return
-        items = [(task.key, self.worker_id) for task in batch]
-        fused = getattr(self.queue, "complete_many_with_results", None)
-        if fused is None:
-            if results:
-                self.store.put_sim_many(results)
-            oks = self.queue.complete_many(items)
-        else:
-            rows = [(encode_key(key), dumps(stats_to_payload(stats)))
-                    for key, stats in results]
-            oks = fused(items, rows)
-        self._results = []
+        acks = [(task.key, self.worker_id) for task in batch]
         with self._held:
-            self._outbox = []
+            self._outbox, self._acking = [], batch
+        self._results = []
+        try:
+            if self.remote:
+                rows = [(encode_key(key), dumps(stats_to_payload(stats)))
+                        for key, stats in results]
+                if n:
+                    reply = self.queue.send_claim(
+                        self.worker_id, n, wait=wait, completions=acks,
+                        results=rows)
+                else:
+                    reply = self.queue.send_complete(acks, rows)
+            else:
+                if results:
+                    self.store.put_sim_many(results)
+                oks = self.queue.complete_many(acks) if acks else []
+                tasks = (self.queue.claim_many(self.worker_id, n, wait=wait)
+                         if n else [])
+                reply = (tasks, None, oks)
+        except BaseException:
+            self._unsend(results)
+            raise
+        self._sent = (reply, n, results)
+
+    def _receive(self) -> None:
+        """Finish the open exchange, if any: count its acks, then queue
+        the tasks it claimed, decoded and prechecked.
+
+        Over HTTP the pinned read halves take the reply:
+        ``claim_many_prechecked`` the tasks, ``complete_many_with_results``
+        the acks' outcome. If the read fails for good, the results and
+        acks go back to the buffers for the exit flush.
+        """
+        if self._sent is None:
+            return
+        (reply, n, results), self._sent = self._sent, None
+        batch = self._acking
+        try:
+            if not self.remote:
+                tasks, rows, oks = reply
+            else:
+                tasks, rows = [], None
+                if n:
+                    tasks, rows = self.queue.claim_many_prechecked(
+                        self.worker_id, n, sent=reply)
+                oks = []
+                if batch or not n:
+                    oks = self.queue.complete_many_with_results(
+                        (), (), sent=reply)
+        except BaseException:
+            self._unsend(results)
+            raise
         for task, ok in zip(batch, oks):
             if ok:
                 self.stats.completed += 1
@@ -377,6 +422,23 @@ class FabricWorker:
                 # this is bookkeeping, not loss.
                 self.stats.lost_leases += 1
                 self._log("lease lost before completion")
+        self._prepare(tasks, rows)
+        with self._held:
+            self._acking = []
+            self._pending.extend(tasks)
+
+    def _unsend(self, results: list) -> None:
+        """Return a failed exchange's results and acks to the buffers."""
+        with self._held:
+            self._outbox = self._acking + self._outbox
+            self._acking = []
+        self._results = results + self._results
+
+    def _flush(self) -> None:
+        """Write every buffered result and ack every finished task, now."""
+        if self._outbox or self._results:
+            self._send(0)
+            self._receive()
 
     # ------------------------------------------------------------------
     # Task execution
@@ -422,13 +484,12 @@ class FabricWorker:
     #: Completion acks flush as soon as this many pile up ...
     FLUSH_BATCH = 4
     #: ... or when the oldest unacked completion is this old, seconds.
-    #: Both are checked between tasks; a claim always flushes first.
+    #: Both are checked before each task; every claim carries the acks.
     FLUSH_AGE = 0.05
-    #: Tasks one claim leases when nothing is claimed ahead. Sized so
-    #: one claim round trip (~2 ms over HTTP) is shared by enough work
-    #: to keep the worker compute-bound on sub-ms tasks — yet shallow
-    #: enough that a SIGKILLed worker strands only a handful of
-    #: (expiring) leases.
+    #: Tasks one claim leases. Sized so one claim round trip (~2 ms
+    #: over HTTP) is shared by enough work to keep the worker
+    #: compute-bound on sub-ms tasks — yet shallow enough that a
+    #: SIGKILLed worker strands only a handful of (expiring) leases.
     PREFETCH_DEPTH = 6
 
     def run(self) -> WorkerStats:
@@ -459,9 +520,21 @@ class FabricWorker:
                     task = self._pending.popleft()
                     self._active_key = task.key
                 self.stats.claimed += 1
+                # Wire I/O travels while the kernel runs: before the
+                # last claimed task, the acks and the next claim (with
+                # no wait, so it never parks); before any other, the
+                # acks once they are due.
+                budget = self._claim_budget()
+                if not self._pending and budget:
+                    self._send(budget)
+                elif self._outbox and (
+                        len(self._outbox) >= self.FLUSH_BATCH
+                        or time.monotonic() - oldest >= self.FLUSH_AGE):
+                    self._send(0)
                 try:
                     self._execute(task)
                 except Exception as exc:  # noqa: BLE001 — task isolation
+                    self._receive()  # the reply is read before the fail
                     state = self.queue.fail(task.key, self.worker_id,
                                             f"{type(exc).__name__}: {exc}")
                     with self._held:
@@ -474,10 +547,7 @@ class FabricWorker:
                         self._outbox.append(task)
                     if len(self._outbox) == 1:
                         oldest = time.monotonic()
-                if self._outbox and (
-                        len(self._outbox) >= self.FLUSH_BATCH
-                        or time.monotonic() - oldest >= self.FLUSH_AGE):
-                    self._flush()
+                    self._receive()
                 now = time.time()
                 if now - self._last_beat >= max(0.5, self.lease / 6.0):
                     self._last_beat = now
@@ -494,36 +564,42 @@ class FabricWorker:
             self.close()
         return self.stats
 
-    def _claim_ahead(self) -> bool:
-        """Flush what is finished, then claim the next batch.
-
-        Called only when nothing is claimed ahead, so every completion
-        is acked before the worker can wait on an empty queue: the last
-        results of a race step never sit out :data:`FLUSH_AGE`. Claims
-        up to :data:`PREFETCH_DEPTH` tasks, never past ``max_tasks``,
-        long-polling ``poll`` seconds unless draining. Returns whether
-        anything was claimed.
-        """
-        self._flush()
+    def _claim_budget(self) -> int:
+        """Tasks the next claim may lease: :data:`PREFETCH_DEPTH`, and
+        never so many that ``max_tasks`` would leave some unstarted."""
         budget = self.PREFETCH_DEPTH
         if self.max_tasks is not None:
-            budget = min(budget, self.max_tasks - self.stats.claimed)
-        tasks = self._claim(budget, None if self.drain else self.poll)
-        with self._held:
-            self._pending.extend(tasks)
-        return bool(tasks)
+            budget = min(budget, self.max_tasks - self.stats.claimed
+                         - len(self._pending))
+        return max(budget, 0)
+
+    def _claim_ahead(self) -> bool:
+        """The dry-queue path: ack what is finished and claim, waiting.
+
+        Runs only when nothing is claimed ahead and the claim that went
+        out with the last kernel came back empty. One exchange carries
+        every finished task's ack and a claim that long-polls ``poll``
+        seconds unless draining; the acks land before the claim can
+        wait, so the last results of a race step never sit out
+        :data:`FLUSH_AGE`. Returns whether anything was claimed.
+        """
+        self._send(self._claim_budget(), None if self.drain else self.poll)
+        self._receive()
+        return bool(self._pending)
 
     def _shutdown_queue_state(self) -> None:
-        """Flush the last completions and hand back unstarted leases.
+        """Read an open exchange, flush the last completions and hand
+        back unstarted leases.
 
         Best-effort by design: if the queue is unreachable the leases
         expire on their own and the tasks are re-run elsewhere — the
         content-addressed results make that merely redundant.
         """
-        try:
-            self._flush()
-        except Exception as exc:  # noqa: BLE001 — lease expiry covers us
-            self._log(f"completion flush failed on exit: {exc}")
+        for step in (self._receive, self._flush):
+            try:
+                step()
+            except Exception as exc:  # noqa: BLE001 — lease expiry covers us
+                self._log(f"completion flush failed on exit: {exc}")
         with self._held:
             pending = list(self._pending)
             self._pending.clear()
@@ -542,9 +618,10 @@ class FabricWorker:
 
     def _held_keys(self) -> list:
         """Every lease this worker currently holds (claimed ahead,
-        running, finished-but-unacked) — all renewed by the heartbeat."""
+        running, finished-but-unacked, ack in flight) — all renewed by
+        the heartbeat."""
         with self._held:
-            tasks = [*self._pending, *self._outbox]
+            tasks = [*self._pending, *self._outbox, *self._acking]
             active = self._active_key
         keys = [task.key for task in tasks]
         if active is not None:

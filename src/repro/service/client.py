@@ -13,7 +13,10 @@ Three layers, each thin:
   5xx, 429 backpressure (whose ``Retry-After`` is honoured as a floor)
   — is retried up to ``max_retries`` times; protocol errors (400, 401,
   404, 426) raise :class:`ServiceError` immediately, because retrying
-  a wrong token or a version mismatch cannot help. The client counts
+  a wrong token or a version mismatch cannot help. A deferred call
+  writes its request at once and reads the reply when asked, so a
+  worker can run a kernel while the server answers; a failed read is
+  retried like any request. The client counts
   its own wire traffic (requests, bytes each way, retries, compressed
   bodies); workers fold those counters into their heartbeat telemetry
   so ``repro status`` can show what the fleet costs on the wire.
@@ -88,6 +91,35 @@ class ServiceError(RuntimeError):
         self.status = status
 
 
+class Reply:
+    """A request on the wire whose reply is read later.
+
+    Made by :meth:`ServiceClient.call` with ``defer=True``.
+    :meth:`result` reads the reply on first use, or takes it from an
+    earlier read, and returns the decoded body or raises what the call
+    would have raised. Read it on the thread that made the call.
+    """
+
+    def __init__(self, client: "ServiceClient", method: str, endpoint: str,
+                 encoded: tuple, timeout: float) -> None:
+        self.client = client
+        self.method = method
+        self.endpoint = endpoint
+        self.encoded = encoded
+        self.timeout = timeout
+        self.written = None   # (connection, fresh) holding the reply
+        self.outcome = None   # (value, error) once read
+
+    def result(self) -> dict:
+        """The reply's decoded body (read now if nobody has yet)."""
+        if self.outcome is None:
+            self.client._read(self)
+        value, error = self.outcome
+        if error is not None:
+            raise error
+        return value
+
+
 class ServiceClient:
     """HTTP transport to one experiment service, with retries.
 
@@ -137,7 +169,7 @@ class ServiceClient:
         # One persistent connection per thread: the client is shared by
         # a worker's run loop and its heartbeat thread (and by a
         # driver's threads), and http.client connections are not
-        # thread-safe.
+        # thread-safe. Each holds at most one unread deferred reply.
         self._local = threading.local()
         self._telemetry_lock = threading.Lock()
         self._counters = {"requests": 0, "bytes_out": 0, "bytes_in": 0,
@@ -170,7 +202,8 @@ class ServiceClient:
         wire version (the server-side per-request check catches the
         mirror case of an old server and a new client).
         """
-        card = self._request("GET", "handshake")
+        card = self._exchange("GET", "handshake",
+                              self._encode("GET", "handshake"))
         server_wire = card.get("wire_version")
         if server_wire != WIRE_VERSION:
             raise ServiceError(
@@ -183,17 +216,56 @@ class ServiceClient:
         return card
 
     def call(self, method: str, endpoint: str, payload: dict = None,
-             timeout: float = None) -> dict:
+             timeout: float = None, defer: bool = False):
         """One API call (handshaking first if this client hasn't yet).
 
         ``timeout`` raises this request's socket timeout above the
         client default — the long-poll claim path sets it to the poll
         wait plus margin so a parked request cannot time out under a
         healthy server.
+
+        With ``defer`` the request is written now and a :class:`Reply`
+        comes back at once; its :meth:`~Reply.result` reads the reply
+        later, so the caller can work while the server answers. It goes
+        out on the calling thread's keep-alive connection, which holds
+        at most one unread reply: any later call on this thread reads
+        that reply first.
         """
+        self._settle()
         if not self._handshaken and endpoint != "handshake":
             self.handshake()
-        return self._request(method, endpoint, payload, timeout=timeout)
+        encoded = self._encode(method, endpoint, payload)
+        if not defer:
+            return self._exchange(method, endpoint, encoded, timeout)
+        reply = Reply(self, method, endpoint, encoded, timeout)
+        try:
+            conn, fresh = self._connection(self._timeout(timeout))
+            conn.request(method, encoded[0], body=encoded[1] or None,
+                         headers=encoded[2])
+            reply.written = conn, fresh
+        except (http.client.HTTPException, OSError):
+            self._drop_connection()  # the read sends it again, with retries
+        self._local.unread = reply
+        return reply
+
+    def _settle(self) -> None:
+        """Read this thread's outstanding deferred reply, if any."""
+        reply = getattr(self._local, "unread", None)
+        if reply is not None:
+            self._read(reply)
+
+    def _read(self, reply: "Reply") -> None:
+        """Read a deferred reply into ``reply`` (its value or its error)."""
+        if getattr(self._local, "unread", None) is reply:
+            self._local.unread = None
+        written, reply.written = reply.written, None
+        try:
+            value = self._exchange(reply.method, reply.endpoint, reply.encoded,
+                                   reply.timeout, written=written)
+        except Exception as exc:  # noqa: BLE001 — raised by Reply.result
+            reply.outcome = (None, exc)
+        else:
+            reply.outcome = (value, None)
 
     # ------------------------------------------------------------------
     # Transport: persistent per-thread connections
@@ -222,9 +294,12 @@ class ServiceClient:
             except OSError:
                 pass
 
-    def _request(self, method: str, endpoint: str, payload: dict = None,
-                 timeout: float = None) -> dict:
-        path = f"{API_PREFIX}/{endpoint}"
+    def _timeout(self, timeout: float = None) -> float:
+        return self.timeout if timeout is None else timeout
+
+    def _encode(self, method: str, endpoint: str, payload: dict = None) -> tuple:
+        """``(path, body, headers)`` of one request, body compressed
+        when large."""
         body = b""
         headers = {WIRE_HEADER: str(WIRE_VERSION),
                    "Content-Type": "application/json",
@@ -237,14 +312,30 @@ class ServiceClient:
                 self._count(compressed_bodies=1)
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        effective_timeout = self.timeout if timeout is None else timeout
+        return f"{API_PREFIX}/{endpoint}", body, headers
+
+    def _exchange(self, method: str, endpoint: str, encoded: tuple,
+                  timeout: float = None, written=None) -> dict:
+        """Send an encoded request and read its reply, retrying.
+
+        ``written`` is the ``(connection, fresh)`` a deferred call
+        already wrote the request to: the first attempt only reads the
+        reply from it. A failed read is a failed attempt like any other,
+        so the request goes out again under the same retry rules.
+        """
+        path, body, headers = encoded
+        effective_timeout = self._timeout(timeout)
         attempt = 0
         stale_retry = True
         while True:
             retry_floor = 0.0
             try:
-                conn, fresh = self._connection(effective_timeout)
-                conn.request(method, path, body=body or None, headers=headers)
+                if written is not None:
+                    (conn, fresh), written = written, None
+                else:
+                    conn, fresh = self._connection(effective_timeout)
+                    conn.request(method, path, body=body or None,
+                                 headers=headers)
                 resp = conn.getresponse()
                 raw = resp.read(MAX_BODY + 1)
                 if len(raw) > MAX_BODY:
@@ -399,7 +490,8 @@ class HttpQueue(TaskQueue):
 
     def claim_many_prechecked(self, worker_id: str, n: int,
                               lease_seconds: float = None,
-                              wait: float = None, precheck: bool = True):
+                              wait: float = None, precheck: bool = True,
+                              sent: Reply = None):
         """:meth:`claim_many` plus the store precheck, one round trip.
 
         Returns ``(tasks, rows)`` where ``rows`` maps each claimed
@@ -408,19 +500,46 @@ class HttpQueue(TaskQueue):
         Workers use this to pre-answer the engine's cache check
         without a second request per claim.
 
+        With ``sent``, a :meth:`send_claim` reply, it sends nothing: it
+        reads that reply (the other arguments go unused), and the time
+        it takes is the part of the round trip the caller's own work
+        did not cover.
+        """
+        if sent is None:
+            if n <= 0:
+                return [], {}
+            sent = self.send_claim(worker_id, n, lease_seconds, wait, precheck)
+        reply = sent.result()
+        tasks = [Task(key=row["key"], kind=row["kind"],
+                      payload=row["payload"], attempts=row["attempts"],
+                      max_attempts=row["max_attempts"])
+                 for row in reply["tasks"]]
+        return tasks, (reply.get("results") or {})
+
+    def send_claim(self, worker_id: str, n: int, lease_seconds: float = None,
+                   wait: float = None, precheck: bool = True,
+                   completions=(), results=()) -> Reply:
+        """Send a claim of ``n`` (positive) tasks; return its reply unread.
+
+        The request may carry the caller's finished work, as
+        :meth:`complete_many_with_results` does: the server writes the
+        ``results`` rows, then the ``completions`` acks, then claims.
+        Read the tasks with :meth:`claim_many_prechecked` and the acks'
+        outcome with :meth:`complete_many_with_results`, passing the
+        reply as ``sent`` to both.
+
         At most :data:`~repro.service.protocol.MAX_CLAIM_COUNT` tasks
         are asked for. ``wait`` long-polls: the server parks the
-        request until work appears (or the wait elapses), so an idle
-        worker holds one open request instead of sending a poll
-        stream. The socket timeout is raised to ``wait`` plus margin
-        for the parked call.
+        request, after writing the acks, until work appears (or the
+        wait elapses), so an idle worker holds one open request instead
+        of sending a poll stream. The socket timeout is raised to
+        ``wait`` plus margin for the parked call.
         """
-        if n <= 0:
-            return [], {}
         payload = {
             "worker": worker_id, "count": min(int(n), MAX_CLAIM_COUNT),
             "lease_seconds": lease_seconds
             if lease_seconds is not None else self.lease_seconds,
+            **self._finished_work(completions, results),
         }
         timeout = None
         if wait:
@@ -428,13 +547,16 @@ class HttpQueue(TaskQueue):
             timeout = float(wait) + self.client.timeout
         if precheck:
             payload["precheck"] = True
-        reply = self.client.call("POST", "queue/claim", payload,
-                                 timeout=timeout)
-        tasks = [Task(key=row["key"], kind=row["kind"],
-                      payload=row["payload"], attempts=row["attempts"],
-                      max_attempts=row["max_attempts"])
-                 for row in reply["tasks"]]
-        return tasks, (reply.get("results") or {})
+        return self.client.call("POST", "queue/claim", payload,
+                                timeout=timeout, defer=True)
+
+    @staticmethod
+    def _finished_work(completions, results) -> dict:
+        payload = {"completions": [{"key": key, "worker": worker}
+                                   for key, worker in completions]}
+        if results:
+            payload["results"] = [[key, value] for key, value in results]
+        return payload
 
     def heartbeat(self, key: str, worker_id: str, lease_seconds: float = None) -> bool:
         """Extend a held lease; ``False`` when the lease was lost."""
@@ -454,26 +576,33 @@ class HttpQueue(TaskQueue):
         the per-item ``bool`` list."""
         return self.complete_many_with_results(completions, [])
 
-    def complete_many_with_results(self, completions, results) -> list:
+    def complete_many_with_results(self, completions, results,
+                                   sent: Reply = None) -> list:
         """:meth:`complete_many` carrying result rows in the same request.
 
         ``results`` is ``[(encoded_key, value_text), ...]`` destined for
         the ``sim_results`` table; the server persists those rows
         *before* marking anything done, so the results-before-ack
         invariant holds within one round trip instead of two.
+
+        With ``sent``, a :meth:`send_complete` or :meth:`send_claim`
+        reply, it sends nothing and returns the outcome of the acks
+        that request carried.
         """
-        completions = list(completions)
-        results = list(results)
-        if not completions and not results:
-            return []
-        payload = {
-            "completions": [{"key": key, "worker": worker}
-                            for key, worker in completions],
-        }
-        if results:
-            payload["results"] = [[key, value] for key, value in results]
-        reply = self.client.call("POST", "queue/complete", payload)
-        return reply["ok"]
+        if sent is None:
+            completions = list(completions)
+            results = list(results)
+            if not completions and not results:
+                return []
+            sent = self.send_complete(completions, results)
+        return sent.result()["ok"]
+
+    def send_complete(self, completions, results=()) -> Reply:
+        """Send acks, and the result rows they need written first;
+        return the reply unread (see :meth:`complete_many_with_results`)."""
+        return self.client.call("POST", "queue/complete",
+                                self._finished_work(completions, results),
+                                defer=True)
 
     def release(self, key: str, worker_id: str) -> bool:
         """Return a held lease unstarted (attempt refunded)."""

@@ -24,17 +24,24 @@ Everything both sides must agree on lives here, so the server
 - **Batching.** ``queue/enqueue`` and ``queue/complete`` accept lists,
   so a driver submits a whole race step in one request and a worker
   acknowledges several tasks per round trip (in one transaction);
+  ``queue/claim`` takes the same acks;
   ``store/get-many`` is the one store read, K keys per request.
 - **Claim.** ``queue/claim`` takes a string ``worker`` and a ``count``
   from 1 to :data:`MAX_CLAIM_COUNT`, and always answers with a
-  ``tasks`` list (empty when nothing was claimable). With ``precheck``
-  the reply also carries ``results``: each claimed key's stored
-  ``sim_results`` row, or ``null``. Malformed claim fields get a 400.
+  ``tasks`` list (empty when nothing was claimable) and an ``ok`` list.
+  With ``precheck`` the reply also carries ``results``: each claimed
+  key's stored ``sim_results`` row, or ``null``. A claim may carry the
+  caller's finished work, as ``queue/complete`` does: ``results`` rows
+  (``[key, value]`` string pairs) and ``completions`` (``{key,
+  worker}`` objects). The server writes the rows, then the acks, then
+  claims, and ``ok`` answers the acks in order, so a worker acks one
+  batch and asks for the next in one round trip. Malformed claim
+  fields get a 400 that names the field.
 - **Long-poll.** ``queue/claim`` accepts a non-negative ``wait``
   (seconds, capped at :data:`MAX_CLAIM_WAIT`); the server parks the
   request on a condition variable and wakes it the moment claimable
   work appears, so an idle fleet costs one held connection instead of
-  a poll storm.
+  a poll storm. Acks riding the claim commit before it parks.
 - **Compression.** JSON bodies above :data:`COMPRESS_THRESHOLD` bytes
   are zlib-deflated in either direction, flagged with
   ``Content-Encoding: deflate``. Clients advertise support via
@@ -67,8 +74,9 @@ import zlib
 #: reply shape (``tasks``, never ``task``), ``count`` required and
 #: bounded, claim input validated, no ``store/get``. Version 4:
 #: ``queue/enqueue`` revives dead keys, ``queue/requeue-dead`` takes
-#: no ``keys``.
-WIRE_VERSION = 4
+#: no ``keys``. Version 5: ``queue/claim`` carries ``completions`` and
+#: ``results`` and answers ``ok`` beside ``tasks``.
+WIRE_VERSION = 5
 
 #: URL prefix every endpoint lives under.
 API_PREFIX = "/api/v1"

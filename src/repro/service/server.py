@@ -359,6 +359,9 @@ class ExperimentService:
     def _ep_claim(self, payload: dict) -> dict:
         """Claim up to ``count`` tasks, parking up to ``wait`` seconds.
 
+        Result rows and acks the request carries are written first, as
+        ``queue/complete`` writes them, and ``ok`` answers the acks.
+
         The long-poll path rides the queue's own condition variable:
         every enqueue/requeue/release through this service wakes parked
         claimers immediately, and ``JobQueue.claim_many`` watches
@@ -375,10 +378,14 @@ class ExperimentService:
         if type(wait) not in (int, float) or not wait >= 0:
             raise _ServiceError(400, "queue/claim 'wait' must be a "
                                      "non-negative number of seconds")
+        completions, results = self._finished_work(payload, "queue/claim")
+        # The acks commit before the claim can park: a worker that
+        # waits on an empty queue holds no unacked work.
+        oks = self._commit(completions, results)
         tasks = self.queue.claim_many(worker, count,
                                       payload.get("lease_seconds"),
                                       min(wait, MAX_CLAIM_WAIT))
-        reply = {"tasks": [{
+        reply = {"ok": oks, "tasks": [{
             "key": task.key, "kind": task.kind, "payload": task.payload,
             "attempts": task.attempts, "max_attempts": task.max_attempts,
         } for task in tasks]}
@@ -398,17 +405,41 @@ class ExperimentService:
         )
         return {"ok": ok}
 
+    @staticmethod
+    def _finished_work(payload: dict, route: str) -> tuple:
+        """The ``completions`` and ``results`` a request carries, checked.
+
+        Both are optional lists: ``completions`` of ``{key, worker}``
+        string objects, ``results`` of ``[key, value]`` string pairs.
+        Anything else is a 400 that names the field.
+        """
+        completions = payload.get("completions", [])
+        if not isinstance(completions, list) or not all(
+                isinstance(item, dict) and isinstance(item.get("key"), str)
+                and isinstance(item.get("worker"), str)
+                for item in completions):
+            raise _ServiceError(400, f"{route} 'completions' must be a list "
+                                     f"of {{key, worker}} string objects")
+        results = payload.get("results", [])
+        if not isinstance(results, list) or not all(
+                isinstance(row, list) and len(row) == 2
+                and all(isinstance(part, str) for part in row)
+                for row in results):
+            raise _ServiceError(400, f"{route} 'results' must be a list of "
+                                     f"[key, value] string pairs")
+        return ([(item["key"], item["worker"]) for item in completions],
+                [(key, value) for key, value in results])
+
+    def _commit(self, completions: list, results: list) -> list:
+        """Write result rows, then ack: a task must never read as done
+        while its result row is unreadable. Returns the per-ack bools."""
+        if results:
+            self.store.backend.put_many("sim_results", results)
+        return self.queue.complete_many(completions)
+
     def _ep_complete(self, payload: dict) -> dict:
-        # Result rows riding the completion request land first: a task
-        # must never read as done while its result row is unreadable.
-        rows = payload.get("results") or []
-        if rows:
-            self.store.backend.put_many(
-                "sim_results", [(key, value) for key, value in rows])
-        return {"ok": self.queue.complete_many([
-            (item["key"], item["worker"])
-            for item in payload.get("completions", [])
-        ])}
+        return {"ok": self._commit(
+            *self._finished_work(payload, "queue/complete"))}
 
     def _ep_release(self, payload: dict) -> dict:
         return {"ok": self.queue.release(payload["key"], payload["worker"])}

@@ -277,6 +277,24 @@ class TestBatchedClaims:
         assert len(queue.claim_many("w1", 8)) == 2
         assert queue.claim_many("w1", 8) == []
 
+    def test_spent_candidates_are_dead_lettered_and_the_batch_filled(
+            self, queue):
+        """A batch read with one ``SELECT … LIMIT n`` that meets spent
+        candidates dead-letters them and reads on until it holds ``n``
+        live tasks."""
+        queue.enqueue(_tasks(2))
+        for _ in range(3):
+            assert len(queue.claim_many("w1", 2, lease_seconds=0.01)) == 2
+            time.sleep(0.03)
+        queue.enqueue(_tasks(6))  # task-002..005 queue behind the spent two
+        tasks = queue.claim_many("w2", 3)
+        assert [t.key for t in tasks] == ["task-002", "task-003", "task-004"]
+        assert all(t.attempts == 1 for t in tasks)
+        assert sorted(key for key, _attempts, _error in queue.dead()) == [
+            "task-000", "task-001"]
+        assert queue.counts() == {"queued": 1, "leased": 3, "done": 0,
+                                  "dead": 2}
+
     def test_claim_many_nonpositive_count_is_empty(self, queue):
         queue.enqueue(_tasks(1))
         assert queue.claim_many("w1", 0) == []

@@ -446,6 +446,157 @@ class TestCompletionFlush:
         assert set(task_rows(store_path).values()) == {("done", 1)}
 
 
+class TestPipelineEdges:
+    """The request sent before a kernel is read after it, whatever the
+    kernel does: raise, outlive its lease, or see the worker stopped."""
+
+    @pytest.fixture(params=["sqlite", "http"])
+    def spec(self, request, tmp_path):
+        """``(spec, token, service)``; the service is ``None`` locally."""
+        if request.param == "sqlite":
+            yield str(tmp_path / "fabric.sqlite"), None, None
+            return
+        from repro.service.server import ExperimentService
+
+        service = ExperimentService(tmp_path / "svc.sqlite", token="edges",
+                                    port=0).start()
+        yield service.url, "edges", service
+        service.stop()
+        service.close()
+
+    @staticmethod
+    def record(worker, monkeypatch, names) -> list:
+        """Log, in order, each call the worker makes to these queue methods."""
+        calls = []
+        for name in names:
+            original = getattr(worker.queue, name, None)
+            if original is None:
+                continue
+
+            def recorded(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(worker.queue, name, recorded)
+        return calls
+
+    #: The calls that read an exchange's reply (a local queue's calls
+    #: complete as they are made).
+    READS = {"claim_many", "claim_many_prechecked", "complete_many",
+             "complete_many_with_results"}
+
+    def test_a_raising_task_fails_after_the_reply_is_read(
+            self, spec, monkeypatch):
+        spec, token, _service = spec
+        worker = FabricWorker(spec, drain=True, poll=0.02, token=token)
+        # "b-broken" is the last task claimed, so the acks and the next
+        # claim are in flight while it raises.
+        worker.queue.enqueue([("a-ok", "sleep", {"seconds": 0.0}),
+                              ("b-broken", "no-such-kind", {})])
+        calls = self.record(worker, monkeypatch, [*self.READS, "fail"])
+        stats = worker.run()
+        # Both claims, the first and the one sent with "b-broken", were
+        # read before its failure went out.
+        first_fail = calls.index("fail")
+        assert calls[first_fail - 1] in self.READS, calls
+        assert sum(name in ("claim_many", "claim_many_prechecked")
+                   for name in calls[:first_fail]) == 2, calls
+        assert stats.completed == 1 and stats.failed == 3
+        with open_queue_for(spec, token) as queue:
+            assert queue.states(["a-ok", "b-broken"]) == {
+                "a-ok": "done", "b-broken": "dead"}
+            assert "unknown task kind" in queue.errors("b-broken")
+
+    def test_stop_reads_the_reply_then_releases_its_claims(
+            self, spec, monkeypatch):
+        spec, token, service = spec
+        worker = FabricWorker(spec, poll=0.02, token=token)
+        depth = FabricWorker.PREFETCH_DEPTH
+        keys = [f"t{i}" for i in range(depth + 2)]
+        worker.queue.enqueue([(key, "sleep", {"seconds": 0.0}) for key in keys])
+        last = keys[depth - 1]  # the first claim's last task
+        execute = worker._execute
+
+        def execute_then_stop(task):
+            execute(task)
+            if task.key == last:  # its successors' claim is in flight
+                worker.stop()
+
+        monkeypatch.setattr(worker, "_execute", execute_then_stop)
+        calls = self.record(worker, monkeypatch, [*self.READS, "release"])
+        stats = worker.run()
+        assert stats.claimed == depth and stats.completed == depth
+        claims = [i for i, name in enumerate(calls)
+                  if name in ("claim_many", "claim_many_prechecked")]
+        assert calls.count("release") == 2, calls
+        assert claims[-1] < calls.index("release"), calls
+        rows = task_rows(store_of(spec, service))
+        assert {key: rows[key] for key in keys} == {
+            **dict.fromkeys(keys[:depth], ("done", 1)),
+            **dict.fromkeys(keys[depth:], ("queued", 0))}
+
+    def test_a_long_task_keeps_the_leases_of_acks_in_flight(
+            self, spec, monkeypatch):
+        """The acks sent with the last claimed task's claim reach the
+        queue only after the lease would have lapsed: the heartbeat
+        renews them meanwhile, so a peer steals nothing."""
+        spec, token, service = spec
+        monkeypatch.setattr(FabricWorker, "FLUSH_AGE", 60.0)
+        keys = ["t0-short", "t1-short", "t2-long"]  # claimed in this order
+        worker = FabricWorker(spec, lease=0.6, poll=0.02, drain=True,
+                              token=token)
+        worker.queue.enqueue([(key, "sleep", {"seconds": 1.5 if i == 2 else 0.0})
+                              for i, key in enumerate(keys)])
+        # The two short tasks' acks travel with the claim sent before
+        # the long one; hold them back for longer than the lease.
+        acker = service.queue if service is not None else worker.queue
+        complete_many = acker.complete_many
+        delayed = []
+
+        def slow_complete_many(completions):
+            completions = list(completions)
+            if not delayed and completions:
+                delayed.append([key for key, _worker in completions])
+                time.sleep(1.2)
+            return complete_many(completions)
+
+        monkeypatch.setattr(acker, "complete_many", slow_complete_many)
+        thief = JobQueue(store_of(spec, service))
+        stolen = []
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            assert wait_for(lambda: thief.states(keys) == dict.fromkeys(
+                keys, "leased"))
+            deadline = time.monotonic() + 30
+            while thread.is_alive() and time.monotonic() < deadline:
+                stolen.extend(thief.claim_many("thief", 4))
+                time.sleep(0.05)
+        finally:
+            worker.stop()
+            thread.join(timeout=30)
+            thief.close()
+        assert not thread.is_alive()
+        assert delayed == [keys[:2]]
+        assert stolen == []
+        assert worker.stats.lost_leases == 0 and worker.stats.completed == 3
+        rows = task_rows(store_of(spec, service))
+        assert {key: rows[key] for key in keys} == dict.fromkeys(
+            keys, ("done", 1))
+
+
+def open_queue_for(spec, token):
+    """A second queue handle on the worker's spec."""
+    from repro.fabric.queue import open_queue
+
+    return open_queue(spec, token=token)
+
+
+def store_of(spec, service) -> str:
+    """The SQLite file behind a spec (the service's, for a URL)."""
+    return service.store_path if service is not None else spec
+
+
 class TestFabricExecutor:
     def test_needs_a_sqlite_store(self):
         with pytest.raises(ValueError, match="SQLite"):

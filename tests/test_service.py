@@ -94,6 +94,21 @@ class TestHandshakeAndVersioning:
         with pytest.raises(ServiceError, match="wire version mismatch"):
             client.handshake()
 
+    def test_a_v4_peer_fails_the_handshake(self, service, monkeypatch):
+        """v5 changed the claim: a v4 client is refused on either side."""
+        import repro.service.client as client_mod
+
+        assert WIRE_VERSION == 5
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _raw_request(service.url, wire="4", method="POST",
+                         endpoint="queue/claim", body={"worker": "w", "count": 1})
+        assert err.value.code == 426
+        monkeypatch.setattr(client_mod, "WIRE_VERSION", 4)
+        client = ServiceClient(service.url, token=TOKEN, max_retries=0)
+        with pytest.raises(ServiceError, match="server .* speaks v5, this "
+                                               "client v4"):
+            client.handshake()
+
 
 class TestAuth:
     def test_missing_token_is_401(self, service):
@@ -406,6 +421,89 @@ class TestWireEfficiency:
             queue.close()
 
 
+class TestFusedClaim:
+    """``queue/claim`` carries result rows and acks, written before it
+    claims, and a deferred call reads its reply later."""
+
+    def test_acks_commit_before_the_claim_parks(self, service):
+        queue = HttpQueue(service.url, token=TOKEN)
+        watcher = HttpQueue(service.url, token=TOKEN)
+        backend = HttpBackend(service.url, token=TOKEN)
+        keys = ["fa-0", "fa-1"]
+        rows = {"fa-res-0": '{"ipc":1}', "fa-res-1": '{"ipc":2}'}
+        try:
+            queue.enqueue([(key, "sleep", {}) for key in keys])
+            tasks = queue.claim_many("w1", 2)
+            start = time.monotonic()
+            sent = queue.send_claim(
+                "w1", 4, wait=2.0, completions=[(t.key, "w1") for t in tasks],
+                results=list(rows.items()))
+            while watcher.states(keys) != dict.fromkeys(keys, "done"):
+                assert time.monotonic() - start < 1.0, "acks waited for the claim"
+                time.sleep(0.01)
+            seen = time.monotonic() - start
+            assert backend.get_many("sim_results", list(rows)) == rows
+            # The claim itself parked on the empty queue.
+            assert queue.claim_many_prechecked("w1", 4, sent=sent) == ([], {})
+            assert queue.complete_many_with_results([], (), sent=sent) == [
+                True, True]
+            assert time.monotonic() - start >= 1.9 > seen + 0.9
+        finally:
+            backend.close()
+            watcher.close()
+            queue.close()
+
+    def test_fused_claim_acks_and_claims_in_one_request(self, service):
+        queue = HttpQueue(service.url, token=TOKEN)
+        try:
+            queue.enqueue([(f"fc-{i}", "sleep", {}) for i in range(3)])
+            (task,) = queue.claim_many("w1", 1)
+            before = queue.client.telemetry()["wire_requests"]
+            sent = queue.send_claim("w1", 2, completions=[(task.key, "w1"),
+                                                          ("fc-2", "w1")])
+            tasks, rows = queue.claim_many_prechecked("w1", 2, sent=sent)
+            # fc-2 was not leased to w1 when the acks landed.
+            assert queue.complete_many_with_results(
+                [], (), sent=sent) == [True, False]
+            assert queue.client.telemetry()["wire_requests"] == before + 1
+            assert [t.key for t in tasks] == ["fc-1", "fc-2"]
+            assert rows == {"fc-1": None, "fc-2": None}
+            assert queue.states(["fc-0"]) == {"fc-0": "done"}
+        finally:
+            queue.close()
+
+    def test_another_call_reads_the_unread_reply_first(self, service):
+        queue = HttpQueue(service.url, token=TOKEN)
+        try:
+            queue.enqueue([("ur-0", "sleep", {})])
+            sent = queue.send_claim("w1", 1)
+            # Same thread, same connection: the claim's reply is read
+            # (and kept) before this request goes out.
+            assert queue.states(["ur-0"]) == {"ur-0": "leased"}
+            assert [t.key for t in queue.claim_many_prechecked(
+                "w1", 1, sent=sent)[0]] == ["ur-0"]
+        finally:
+            queue.close()
+
+    def test_a_failed_read_sends_the_request_again(self, service):
+        """A reply lost with its connection is a failed attempt: the
+        request goes out again on a fresh one."""
+        queue = HttpQueue(service.url, token=TOKEN)
+        try:
+            keys = ["fr-0", "fr-1"]
+            queue.enqueue([(key, "sleep", {}) for key in keys])
+            queue.counts()  # opens this thread's connection
+            sent = queue.send_claim("w1", 1)
+            sent.written[0].sock.close()  # the reply can no longer be read
+            tasks, _rows = queue.claim_many_prechecked("w1", 1, sent=sent)
+            # Both requests reached the server: each leased one task.
+            assert len(tasks) == 1
+            assert queue.states(keys) == dict.fromkeys(keys, "leased")
+            assert queue.client.telemetry()["wire_retries"] == 1
+        finally:
+            queue.close()
+
+
 class TestAdaptivePollBackoff:
     """Idle result loops must stop hammering the queue/server."""
 
@@ -649,6 +747,40 @@ class TestBadRequests:
                          body=body)
         assert err.value.code == 400
         assert service.queue.counts()["queued"] == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("completions", {"key": "a-held", "worker": "w"}),
+        ("completions", ["a-held"]),
+        ("completions", [{"key": "a-held"}]),
+        ("completions", [{"key": 3, "worker": "w"}]),
+        ("completions", [{"key": "a-held", "worker": None}]),
+        ("completions", None),
+        ("results", {"res": "{}"}),
+        ("results", [["res"]]),
+        ("results", [["res", "{}", "x"]]),
+        ("results", [["res", 1]]),
+        ("results", ["res"]),
+        ("results", None),
+    ])
+    def test_malformed_claim_acks_are_400_and_change_nothing(
+            self, service, field, value):
+        """A claim carrying malformed finished work is refused whole,
+        with a 400 naming the field and no retry: nothing is written,
+        acked or leased."""
+        service.queue.enqueue([("a-held", "sleep", {}), ("b-queued", "sleep", {})])
+        assert [t.key for t in service.queue.claim_many("w", 1)] == ["a-held"]
+        body = {"worker": "w", "count": 1,
+                "completions": [{"key": "a-held", "worker": "w"}],
+                "results": [["res", "{}"]], field: value}
+        client = ServiceClient(service.url, token=TOKEN, backoff=0.01)
+        with pytest.raises(ServiceError) as err:
+            client.call("POST", "queue/claim", body)
+        assert err.value.status == 400
+        assert f"'{field}'" in str(err.value)
+        assert client.telemetry()["wire_retries"] == 0
+        assert service.queue.states(["a-held", "b-queued"]) == {
+            "a-held": "leased", "b-queued": "queued"}
+        assert service.store.backend.get("sim_results", "res") is None
 
     def test_http_claim_asks_for_at_most_the_cap(self, service):
         """An oversized batch leases up to the cap instead of a 400."""

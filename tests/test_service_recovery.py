@@ -145,7 +145,7 @@ class TestPipelinedWorkerSigkill:
             wait_until_serving(url)
             queue = HttpQueue(url, token=TOKEN)
             # Enqueued first, so claimed first: the victim sleeps in it
-            # while its dispatcher prefetches simulations behind it.
+            # while the simulations claimed with it wait behind it.
             queue.enqueue([(self.LEAD, KIND_SLEEP, {"seconds": 3.0})],
                           submitted_by="chaos")
             queue.enqueue(plan.tasks, submitted_by="chaos")
