@@ -128,7 +128,13 @@ class TaskQueue(abc.ABC):
     @abc.abstractmethod
     def worker_beat(self, worker_id: str, tasks_done: int = None,
                     tasks_failed: int = None, telemetry: dict = None) -> None:
-        """Refresh a worker row: liveness, counters, engine telemetry."""
+        """Refresh a worker row: liveness, counters, engine telemetry.
+
+        It also renews every lease the worker's latest :meth:`claim_many`
+        handed it and still holds, so a worker that reads a claim's
+        reply late keeps tasks it cannot name yet; the worker's next
+        claim ends that.
+        """
 
     @abc.abstractmethod
     def workers(self) -> list:

@@ -24,6 +24,10 @@ The protocol, in full:
   to the ``dead`` state (dead-letter) instead of being leased again.
 - **heartbeat** — the executing worker extends its lease periodically;
   a live worker never loses a task to expiry, however slow the task.
+  A worker's row beat also renews the leases of its latest claim, so
+  a worker that reads a claim's reply only after a long kernel keeps
+  the tasks it cannot name yet; the next claim supersedes that set,
+  so a claim whose reply was lost still expires.
 - **complete / fail** — completion is *guarded*: it only succeeds while
   the caller still holds the lease. A worker that lost its lease to
   expiry (and whose task was re-run elsewhere) gets ``False`` back and
@@ -113,6 +117,9 @@ class JobQueue(TaskQueue):
         # can't signal us: `claim_many(wait=)` watches `data_version` for them.)
         self._wakeup = threading.Condition()
         self._wakes = 0
+        # worker id -> (keys, lease) of its latest nonempty claim,
+        # renewed by worker_beat (see the module docs' heartbeat).
+        self._latest_claim: dict = {}
         self._conn = connect_sqlite(self.path, busy_timeout=busy_timeout)
         self._init_schema()
 
@@ -284,12 +291,18 @@ class JobQueue(TaskQueue):
         wake the claimer through a condition variable instead. Work
         from another process is picked up at most ``max(1 ms, half the
         time already waited)`` late, and never more than 50 ms late.
+
+        The tasks a claim returns are the worker's *latest claim*: until
+        the worker's next claim, :meth:`worker_beat` renews their leases
+        as well, so they live while the reply is still unread.
         """
         if n <= 0:
             return []
         lease = self.lease_seconds if lease_seconds is None else float(lease_seconds)
         deadline = None if not wait else time.monotonic() + float(wait)
         pacer = Pacer(CLAIM_NAP_FLOOR, CLAIM_NAP_CAP)
+        with self._lock:
+            self._latest_claim.pop(worker_id, None)
         while True:
             with self._wakeup:
                 wakes = self._wakes
@@ -297,6 +310,9 @@ class JobQueue(TaskQueue):
                 version = self._data_version()
                 tasks = retry_busy(
                     lambda: self._claim_batch(worker_id, int(n), lease))
+                if tasks:
+                    self._latest_claim[worker_id] = (
+                        [task.key for task in tasks], lease)
                 if tasks or deadline is None:
                     return tasks
                 expires = self._next_expiry()
@@ -506,6 +522,7 @@ class JobQueue(TaskQueue):
         worker_id = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
         now = time.time()
         with self._lock:
+            self._latest_claim.pop(worker_id, None)
             retry_busy(lambda: self._conn.execute(
                 "INSERT INTO fabric_workers"
                 " (worker_id, pid, host, started, last_seen)"
@@ -518,7 +535,11 @@ class JobQueue(TaskQueue):
 
     def worker_beat(self, worker_id: str, tasks_done: int = None,
                     tasks_failed: int = None, telemetry: dict = None) -> None:
-        """Refresh a worker row: liveness, counters, engine telemetry."""
+        """Refresh a worker row: liveness, counters, engine telemetry.
+
+        Also renews the leases the worker's latest claim still holds
+        (see :meth:`claim_many`).
+        """
         now = time.time()
         sets, params = ["last_seen=?"], [now]
         if tasks_done is not None:
@@ -536,6 +557,14 @@ class JobQueue(TaskQueue):
                 f"UPDATE fabric_workers SET {', '.join(sets)} WHERE worker_id=?",
                 params,
             ))
+            keys, lease = self._latest_claim.get(worker_id, ((), 0.0))
+            if keys:
+                retry_busy(lambda: self._conn.execute(
+                    "UPDATE fabric_tasks SET lease_expires=?, updated=?"
+                    " WHERE state='leased' AND worker=? AND key IN"
+                    f" ({', '.join('?' * len(keys))})",
+                    (now + lease, now, worker_id, *keys),
+                ))
 
     def workers(self) -> list:
         """All worker rows as dicts (telemetry JSON decoded)."""

@@ -23,7 +23,8 @@ Lifecycle:
 1. register in ``fabric_workers`` (pid/host/heartbeat row);
 2. claim loop — lease a batch of tasks, execute each, ``complete``/
    ``fail``; a background thread heartbeats every held lease at a third
-   of the lease interval and refreshes the worker row;
+   of the lease interval and refreshes the worker row, which also
+   renews the leases of a claim whose reply is still unread;
 3. exit on ``max_tasks`` executed, ``max_idle`` seconds without work,
    ``drain`` finding the queue empty, or :meth:`FabricWorker.stop`.
 
@@ -74,11 +75,13 @@ from repro.store.serialize import (
 class _WriteBehindStore(ResultStore):
     """The worker engines' store view: sim-result writes are buffered.
 
-    The worker flushes the buffer — one ``put_sim_many`` round trip —
-    immediately *before* the matching completion acks, so the ``done
+    Each exchange (see :meth:`FabricWorker._send`) carries the buffer
+    with its completion acks, results written first, so the ``done
     implies result readable`` ordering the executors rely on is
-    preserved while a batch of tasks shares one write. Reads check the
-    buffer first so a not-yet-flushed result is never recomputed.
+    preserved while a batch of tasks shares one write. Over HTTP the
+    rows commit only when the server handles the request, during the
+    next kernel; reads check the buffer and the open exchange's rows
+    first, so a result not yet committed is never recomputed.
     """
 
     def __init__(self, inner: ResultStore, worker: "FabricWorker") -> None:
@@ -328,7 +331,9 @@ class FabricWorker:
         return len(items)
 
     def _buffered_result(self, key):
-        for buffered_key, stats in self._results:
+        """A result still buffered, or sent in the open exchange."""
+        sent = self._sent[2] if self._sent is not None else ()
+        for buffered_key, stats in (*self._results, *sent):
             if buffered_key == key:
                 return stats
         return None
@@ -354,7 +359,9 @@ class FabricWorker:
         next kernel when there is one. A local queue makes the calls at
         once, since each is a local transaction: ``put_sim_many``,
         ``complete_many``, ``claim_many``. The acked tasks keep their
-        leases, renewed by the heartbeat, until the reply is read.
+        leases, renewed by the heartbeat, until the reply is read; the
+        claimed ones, which the worker cannot name until then, are
+        renewed by the worker-row beat.
         """
         batch, results = self._outbox, self._results
         acks = [(task.key, self.worker_id) for task in batch]
@@ -617,9 +624,10 @@ class FabricWorker:
         )
 
     def _held_keys(self) -> list:
-        """Every lease this worker currently holds (claimed ahead,
-        running, finished-but-unacked, ack in flight) — all renewed by
-        the heartbeat."""
+        """Every lease this worker can name (claimed ahead, running,
+        finished-but-unacked, ack in flight) — all renewed by the
+        heartbeat. The tasks of a claim whose reply is unread are not
+        among them; the worker-row beat renews those."""
         with self._held:
             tasks = [*self._pending, *self._outbox, *self._acking]
             active = self._active_key
@@ -629,7 +637,8 @@ class FabricWorker:
         return keys
 
     def _heartbeat_loop(self) -> None:
-        """Renew every held lease (and the worker row) at lease/3."""
+        """Renew every held lease (and the worker row, with the leases
+        of the latest claim) at lease/3."""
         interval = max(0.05, self.lease / 3.0)
         while not self._stop.wait(interval):
             for key in self._held_keys():

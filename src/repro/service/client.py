@@ -13,9 +13,10 @@ Three layers, each thin:
   5xx, 429 backpressure (whose ``Retry-After`` is honoured as a floor)
   — is retried up to ``max_retries`` times; protocol errors (400, 401,
   404, 426) raise :class:`ServiceError` immediately, because retrying
-  a wrong token or a version mismatch cannot help. A deferred call
-  writes its request at once and reads the reply when asked, so a
-  worker can run a kernel while the server answers; a failed read is
+  a wrong token or a version mismatch cannot help. Every request is
+  written by :meth:`~ServiceClient.send`, whose :class:`Reply` is read
+  when asked, so a worker can run a kernel while the server answers;
+  :meth:`~ServiceClient.call` reads it at once, and a failed read is
   retried like any request. The client counts
   its own wire traffic (requests, bytes each way, retries, compressed
   bodies); workers fold those counters into their heartbeat telemetry
@@ -94,8 +95,7 @@ class ServiceError(RuntimeError):
 class Reply:
     """A request on the wire whose reply is read later.
 
-    Made by :meth:`ServiceClient.call` with ``defer=True``.
-    :meth:`result` reads the reply on first use, or takes it from an
+    Made by :meth:`ServiceClient.send`. :meth:`result` reads the reply on first use, or takes it from an
     earlier read, and returns the decoded body or raises what the call
     would have raised. Read it on the thread that made the call.
     """
@@ -169,7 +169,7 @@ class ServiceClient:
         # One persistent connection per thread: the client is shared by
         # a worker's run loop and its heartbeat thread (and by a
         # driver's threads), and http.client connections are not
-        # thread-safe. Each holds at most one unread deferred reply.
+        # thread-safe. Each holds at most one unread reply.
         self._local = threading.local()
         self._telemetry_lock = threading.Lock()
         self._counters = {"requests": 0, "bytes_out": 0, "bytes_in": 0,
@@ -202,8 +202,7 @@ class ServiceClient:
         wire version (the server-side per-request check catches the
         mirror case of an old server and a new client).
         """
-        card = self._exchange("GET", "handshake",
-                              self._encode("GET", "handshake"))
+        card = self.call("GET", "handshake")
         server_wire = card.get("wire_version")
         if server_wire != WIRE_VERSION:
             raise ServiceError(
@@ -216,32 +215,32 @@ class ServiceClient:
         return card
 
     def call(self, method: str, endpoint: str, payload: dict = None,
-             timeout: float = None, defer: bool = False):
-        """One API call (handshaking first if this client hasn't yet).
+             timeout: float = None) -> dict:
+        """One API call, its reply read at once (see :meth:`send`)."""
+        return self.send(method, endpoint, payload, timeout).result()
 
-        ``timeout`` raises this request's socket timeout above the
-        client default — the long-poll claim path sets it to the poll
-        wait plus margin so a parked request cannot time out under a
-        healthy server.
+    def send(self, method: str, endpoint: str, payload: dict = None,
+             timeout: float = None) -> Reply:
+        """Write one API request now; its :class:`Reply` reads the answer.
 
-        With ``defer`` the request is written now and a :class:`Reply`
-        comes back at once; its :meth:`~Reply.result` reads the reply
-        later, so the caller can work while the server answers. It goes
-        out on the calling thread's keep-alive connection, which holds
-        at most one unread reply: any later call on this thread reads
-        that reply first.
+        Handshakes first if this client hasn't yet. ``timeout`` raises
+        this request's socket timeout above the client default — the
+        long-poll claim path sets it to the poll wait plus margin so a
+        parked request cannot time out under a healthy server.
+
+        The request goes out on the calling thread's keep-alive
+        connection, which holds at most one unread reply: any later
+        request on this thread reads that reply first. Between the two,
+        the caller can work while the server answers.
         """
         self._settle()
         if not self._handshaken and endpoint != "handshake":
             self.handshake()
-        encoded = self._encode(method, endpoint, payload)
-        if not defer:
-            return self._exchange(method, endpoint, encoded, timeout)
-        reply = Reply(self, method, endpoint, encoded, timeout)
+        reply = Reply(self, method, endpoint,
+                      self._encode(method, endpoint, payload), timeout)
+        conn, fresh = self._connection(self._timeout(timeout))
         try:
-            conn, fresh = self._connection(self._timeout(timeout))
-            conn.request(method, encoded[0], body=encoded[1] or None,
-                         headers=encoded[2])
+            self._write(conn, method, reply.encoded)
             reply.written = conn, fresh
         except (http.client.HTTPException, OSError):
             self._drop_connection()  # the read sends it again, with retries
@@ -249,13 +248,14 @@ class ServiceClient:
         return reply
 
     def _settle(self) -> None:
-        """Read this thread's outstanding deferred reply, if any."""
+        """Read this thread's outstanding reply, if any."""
         reply = getattr(self._local, "unread", None)
         if reply is not None:
             self._read(reply)
 
     def _read(self, reply: "Reply") -> None:
-        """Read a deferred reply into ``reply`` (its value or its error)."""
+        """Read a sent request's reply into ``reply`` (its value or its
+        error)."""
         if getattr(self._local, "unread", None) is reply:
             self._local.unread = None
         written, reply.written = reply.written, None
@@ -284,6 +284,12 @@ class ServiceClient:
             if conn.sock is not None:
                 conn.sock.settimeout(timeout)
         return conn, fresh
+
+    @staticmethod
+    def _write(conn, method: str, encoded: tuple) -> None:
+        """Write an encoded request on a connection."""
+        path, body, headers = encoded
+        conn.request(method, path, body=body or None, headers=headers)
 
     def _drop_connection(self) -> None:
         conn = getattr(self._local, "conn", None)
@@ -316,26 +322,27 @@ class ServiceClient:
 
     def _exchange(self, method: str, endpoint: str, encoded: tuple,
                   timeout: float = None, written=None) -> dict:
-        """Send an encoded request and read its reply, retrying.
+        """Read an encoded request's reply, sending it again on failure.
 
-        ``written`` is the ``(connection, fresh)`` a deferred call
-        already wrote the request to: the first attempt only reads the
-        reply from it. A failed read is a failed attempt like any other,
-        so the request goes out again under the same retry rules.
+        ``written`` is the ``(connection, fresh)`` :meth:`send` wrote
+        the request to, so the first attempt only reads the reply from
+        it; it is ``None`` when that write failed. A failed read is a
+        failed attempt like any other, so the request goes out again
+        under the same retry rules.
         """
-        path, body, headers = encoded
-        effective_timeout = self._timeout(timeout)
+        body = encoded[1]
         attempt = 0
         stale_retry = True
         while True:
             retry_floor = 0.0
+            if written is None:
+                conn, fresh = self._connection(self._timeout(timeout))
+                unsent = True
+            else:
+                (conn, fresh), written, unsent = written, None, False
             try:
-                if written is not None:
-                    (conn, fresh), written = written, None
-                else:
-                    conn, fresh = self._connection(effective_timeout)
-                    conn.request(method, path, body=body or None,
-                                 headers=headers)
+                if unsent:
+                    self._write(conn, method, encoded)
                 resp = conn.getresponse()
                 raw = resp.read(MAX_BODY + 1)
                 if len(raw) > MAX_BODY:
@@ -547,8 +554,8 @@ class HttpQueue(TaskQueue):
             timeout = float(wait) + self.client.timeout
         if precheck:
             payload["precheck"] = True
-        return self.client.call("POST", "queue/claim", payload,
-                                timeout=timeout, defer=True)
+        return self.client.send("POST", "queue/claim", payload,
+                                timeout=timeout)
 
     @staticmethod
     def _finished_work(completions, results) -> dict:
@@ -600,9 +607,8 @@ class HttpQueue(TaskQueue):
     def send_complete(self, completions, results=()) -> Reply:
         """Send acks, and the result rows they need written first;
         return the reply unread (see :meth:`complete_many_with_results`)."""
-        return self.client.call("POST", "queue/complete",
-                                self._finished_work(completions, results),
-                                defer=True)
+        return self.client.send("POST", "queue/complete",
+                                self._finished_work(completions, results))
 
     def release(self, key: str, worker_id: str) -> bool:
         """Return a held lease unstarted (attempt refunded)."""

@@ -138,6 +138,29 @@ class TestClaim:
         queue.claim("w2")
         assert not queue.heartbeat(task.key, "w1")
 
+    def test_worker_beat_renews_the_latest_claim(self, queue):
+        """A worker that has not read a claim's reply cannot name its
+        tasks; the worker-row beat keeps their leases meanwhile."""
+        queue.enqueue(_tasks(3))
+        queue.claim_many("w1", 2, lease_seconds=0.5)
+        for _ in range(4):  # 0.8 s, well past the 0.5 s lease
+            time.sleep(0.2)
+            queue.worker_beat("w1")
+        assert [task.key for task in queue.claim_many("w2", 3)] == [
+            "task-002"]
+
+    def test_the_next_claim_ends_the_beat_renewal(self, queue):
+        """A claim whose reply was lost still expires: the beat renews
+        only the worker's latest claim."""
+        queue.enqueue(_tasks(2))
+        lost = queue.claim("w1", lease_seconds=0.2)
+        queue.claim("w1", lease_seconds=30.0)
+        for _ in range(3):
+            time.sleep(0.1)
+            queue.worker_beat("w1")
+        again = queue.claim("w2")
+        assert again is not None and again.key == lost.key
+
 
 class TestCompleteAndFail:
     def test_complete_marks_done(self, queue):

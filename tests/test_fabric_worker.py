@@ -584,6 +584,44 @@ class TestPipelineEdges:
         assert {key: rows[key] for key in keys} == dict.fromkeys(
             keys, ("done", 1))
 
+    def test_a_long_last_task_keeps_the_leases_of_the_claim_in_flight(
+            self, spec):
+        """The next claim goes out before a batch's last task and its
+        reply is read after it: the tasks it leased outlive a last task
+        longer than the lease, so a peer steals nothing."""
+        spec, token, service = spec
+        depth = FabricWorker.PREFETCH_DEPTH
+        keys = [f"t{i:02d}" for i in range(2 * depth)]  # claimed in order
+        long_key = keys[depth - 1]
+        worker = FabricWorker(spec, lease=0.6, poll=0.02, drain=True,
+                              token=token)
+        worker.queue.enqueue([
+            (key, "sleep", {"seconds": 2.0 if key == long_key else 0.0})
+            for key in keys])
+        thief = JobQueue(store_of(spec, service))
+        stolen = []
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            # Nothing left queued: the second batch's claim went out
+            # with the long task, so a claim now takes expired leases only.
+            assert wait_for(lambda: "queued" not in thief.states(keys).values())
+            deadline = time.monotonic() + 30
+            while thread.is_alive() and time.monotonic() < deadline:
+                stolen.extend(thief.claim_many("thief", depth))
+                time.sleep(0.05)
+        finally:
+            worker.stop()
+            thread.join(timeout=30)
+            thief.close()
+        assert not thread.is_alive()
+        assert stolen == []
+        assert worker.stats.lost_leases == 0
+        assert worker.stats.completed == 2 * depth
+        rows = task_rows(store_of(spec, service))
+        assert {key: rows[key] for key in keys} == dict.fromkeys(
+            keys, ("done", 1))
+
 
 def open_queue_for(spec, token):
     """A second queue handle on the worker's spec."""

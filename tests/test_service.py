@@ -423,7 +423,7 @@ class TestWireEfficiency:
 
 class TestFusedClaim:
     """``queue/claim`` carries result rows and acks, written before it
-    claims, and a deferred call reads its reply later."""
+    claims, and a sent request's reply is read later."""
 
     def test_acks_commit_before_the_claim_parks(self, service):
         queue = HttpQueue(service.url, token=TOKEN)
@@ -562,13 +562,13 @@ class TestWorkerOverHttp:
         """A drained worker never reads the store on its own: each claim,
         prefetch or idle, answers "already computed?" in its reply."""
         requests = collections.Counter()
-        call = ServiceClient.call
+        send = ServiceClient.send  # every request is written here
 
-        def counting_call(client, method, endpoint, *args, **kwargs):
+        def counting_send(client, method, endpoint, *args, **kwargs):
             requests[endpoint] += 1
-            return call(client, method, endpoint, *args, **kwargs)
+            return send(client, method, endpoint, *args, **kwargs)
 
-        monkeypatch.setattr(ServiceClient, "call", counting_call)
+        monkeypatch.setattr(ServiceClient, "send", counting_send)
         _plan, stats = self._drain_two_simulations(service)
         assert stats.completed == 2 and stats.failed == 0
         assert requests["queue/claim"] >= 1
