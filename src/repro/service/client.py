@@ -95,9 +95,10 @@ class ServiceError(RuntimeError):
 class Reply:
     """A request on the wire whose reply is read later.
 
-    Made by :meth:`ServiceClient.send`. :meth:`result` reads the reply on first use, or takes it from an
-    earlier read, and returns the decoded body or raises what the call
-    would have raised. Read it on the thread that made the call.
+    Made by :meth:`ServiceClient.send`. :meth:`result` reads the reply
+    on first use, or takes it from an earlier read, and returns the
+    decoded body or raises what the request failed with. Read it on the
+    thread that sent the request.
     """
 
     def __init__(self, client: "ServiceClient", method: str, endpoint: str,

@@ -36,7 +36,9 @@ Everything both sides must agree on lives here, so the server
   worker}`` objects). The server writes the rows, then the acks, then
   claims, and ``ok`` answers the acks in order, so a worker acks one
   batch and asks for the next in one round trip. Malformed claim
-  fields get a 400 that names the field.
+  fields get a 400 that names the field. Until the worker's next
+  claim, its ``workers/beat`` renews the leases this one handed it,
+  so a reply read after a long task loses none of them.
 - **Long-poll.** ``queue/claim`` accepts a non-negative ``wait``
   (seconds, capped at :data:`MAX_CLAIM_WAIT`); the server parks the
   request on a condition variable and wakes it the moment claimable
@@ -75,7 +77,8 @@ import zlib
 #: bounded, claim input validated, no ``store/get``. Version 4:
 #: ``queue/enqueue`` revives dead keys, ``queue/requeue-dead`` takes
 #: no ``keys``. Version 5: ``queue/claim`` carries ``completions`` and
-#: ``results`` and answers ``ok`` beside ``tasks``.
+#: ``results`` and answers ``ok`` beside ``tasks``; ``workers/beat``
+#: renews the leases of the worker's latest claim.
 WIRE_VERSION = 5
 
 #: URL prefix every endpoint lives under.
