@@ -9,7 +9,7 @@ every task is keyed by the content hash the store itself uses.
 
 In real use the pieces are separate processes on separate machines::
 
-    export REPRO_TOKEN=s3cret
+    export REPRO_TOKEN=$(python -c 'import secrets; print(secrets.token_hex(16))')
     python -m repro serve --store fleet.sqlite --host 0.0.0.0 &
     # on each worker host:
     python -m repro worker --url http://fleet-host:8537 --max-idle 120 &

@@ -620,20 +620,17 @@ def _fabric_spec(args):
 
 def cmd_serve(args) -> int:
     """Serve a fabric store over HTTP for a remote worker fleet."""
-    from repro.service.protocol import WIRE_VERSION, resolve_token
+    from repro.service.protocol import WIRE_VERSION
     from repro.service.server import ExperimentService
 
-    token = resolve_token(args.token)
-    if not token:
-        raise SystemExit(
-            "repro serve refuses to run unauthenticated: pass --token TOKEN "
-            "or set the REPRO_TOKEN environment variable"
+    try:  # no token, or one too short to redact safely
+        service = ExperimentService(
+            args.store, token=args.token, host=args.host, port=args.port,
+            max_depth=args.max_depth, lease_seconds=args.lease,
+            progress=print if args.verbose else None,
         )
-    service = ExperimentService(
-        args.store, token=token, host=args.host, port=args.port,
-        max_depth=args.max_depth, lease_seconds=args.lease,
-        progress=print if args.verbose else None,
-    )
+    except ValueError as exc:
+        raise SystemExit(f"repro serve: {exc}") from None
     depth = "unbounded" if args.max_depth is None else str(args.max_depth)
     print(f"serving {args.store} at {service.url} "
           f"(wire v{WIRE_VERSION}, max depth {depth}; Ctrl-C to stop)")
@@ -962,8 +959,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8537,
                    help="TCP port (default 8537; 0 picks a free port)")
     p.add_argument("--token", default=None,
-                   help="bearer token workers must present (default: "
-                        "REPRO_TOKEN environment variable; required)")
+                   help="bearer token workers must present, at least 16 "
+                        "characters (default: REPRO_TOKEN environment "
+                        "variable; required)")
     p.add_argument("--max-depth", type=int, default=None,
                    help="backpressure: reject submits (429) while this many "
                         "tasks are outstanding (default: unbounded)")

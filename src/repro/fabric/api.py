@@ -28,6 +28,7 @@ docstring is the normative description):
   for the current lease owner, so post-expiry stragglers are harmless;
   ``complete_many`` acknowledges a batch in one round trip, and
   ``complete`` is its one-task form;
+- **worker_beat** renews every lease a worker holds in one round trip;
 - **release** hands an unstarted lease back without burning an
   attempt — the clean exit for a pipelined worker holding a
   prefetched task it will never run;
@@ -127,13 +128,15 @@ class TaskQueue(abc.ABC):
 
     @abc.abstractmethod
     def worker_beat(self, worker_id: str, tasks_done: int = None,
-                    tasks_failed: int = None, telemetry: dict = None) -> None:
+                    tasks_failed: int = None, telemetry: dict = None,
+                    keys=(), lease_seconds: float = None) -> None:
         """Refresh a worker row: liveness, counters, engine telemetry.
 
-        It also renews every lease the worker's latest :meth:`claim_many`
-        handed it and still holds, so a worker that reads a claim's
-        reply late keeps tasks it cannot name yet; the worker's next
-        claim ends that.
+        It also renews, in one round trip, the leases of ``keys`` that
+        the worker holds, as :meth:`heartbeat` would, and every lease
+        the worker's latest :meth:`claim_many` handed it and still
+        holds, so a worker that reads a claim's reply late keeps tasks
+        it cannot name yet; the worker's next claim ends that.
         """
 
     @abc.abstractmethod

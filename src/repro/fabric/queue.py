@@ -534,11 +534,15 @@ class JobQueue(TaskQueue):
         return worker_id
 
     def worker_beat(self, worker_id: str, tasks_done: int = None,
-                    tasks_failed: int = None, telemetry: dict = None) -> None:
+                    tasks_failed: int = None, telemetry: dict = None,
+                    keys=(), lease_seconds: float = None) -> None:
         """Refresh a worker row: liveness, counters, engine telemetry.
 
-        Also renews the leases the worker's latest claim still holds
-        (see :meth:`claim_many`).
+        Also renews, in one ``UPDATE`` per :func:`in_chunks` list, the
+        leases the worker holds among ``keys`` and those its latest
+        claim still holds (see :meth:`claim_many`). They all get
+        ``lease_seconds``; when that is ``None``, the latest claim's
+        lease, or the queue's default without one.
         """
         now = time.time()
         sets, params = ["last_seen=?"], [now]
@@ -557,13 +561,15 @@ class JobQueue(TaskQueue):
                 f"UPDATE fabric_workers SET {', '.join(sets)} WHERE worker_id=?",
                 params,
             ))
-            keys, lease = self._latest_claim.get(worker_id, ((), 0.0))
-            if keys:
-                retry_busy(lambda: self._conn.execute(
+            latest, lease = self._latest_claim.get(
+                worker_id, ((), self.lease_seconds))
+            if lease_seconds is not None:
+                lease = float(lease_seconds)
+            for chunk, marks in in_chunks(dict.fromkeys([*latest, *keys])):
+                retry_busy(lambda c=chunk, m=marks: self._conn.execute(
                     "UPDATE fabric_tasks SET lease_expires=?, updated=?"
-                    " WHERE state='leased' AND worker=? AND key IN"
-                    f" ({', '.join('?' * len(keys))})",
-                    (now + lease, now, worker_id, *keys),
+                    f" WHERE state='leased' AND worker=? AND key IN ({m})",
+                    (now + lease, now, worker_id, *c),
                 ))
 
     def workers(self) -> list:

@@ -22,9 +22,9 @@ Lifecycle:
 
 1. register in ``fabric_workers`` (pid/host/heartbeat row);
 2. claim loop — lease a batch of tasks, execute each, ``complete``/
-   ``fail``; a background thread heartbeats every held lease at a third
-   of the lease interval and refreshes the worker row, which also
-   renews the leases of a claim whose reply is still unread;
+   ``fail``; a background thread sends one worker-row beat at a third
+   of the lease interval, which renews every held lease and those of a
+   claim whose reply is still unread;
 3. exit on ``max_tasks`` executed, ``max_idle`` seconds without work,
    ``drain`` finding the queue empty, or :meth:`FabricWorker.stop`.
 
@@ -625,9 +625,9 @@ class FabricWorker:
 
     def _held_keys(self) -> list:
         """Every lease this worker can name (claimed ahead, running,
-        finished-but-unacked, ack in flight) — all renewed by the
-        heartbeat. The tasks of a claim whose reply is unread are not
-        among them; the worker-row beat renews those."""
+        finished-but-unacked, ack in flight), which the heartbeat's
+        beat renews. The tasks of a claim whose reply is unread are not
+        among them; the beat renews those as the latest claim's."""
         with self._held:
             tasks = [*self._pending, *self._outbox, *self._acking]
             active = self._active_key
@@ -637,13 +637,11 @@ class FabricWorker:
         return keys
 
     def _heartbeat_loop(self) -> None:
-        """Renew every held lease (and the worker row, with the leases
-        of the latest claim) at lease/3."""
+        """Renew every held lease, and those of the latest claim, with
+        one worker-row beat at lease/3."""
         interval = max(0.05, self.lease / 3.0)
         while not self._stop.wait(interval):
-            for key in self._held_keys():
-                self.queue.heartbeat(key, self.worker_id)
-            self.queue.worker_beat(self.worker_id)
+            self.queue.worker_beat(self.worker_id, keys=self._held_keys())
 
     def close(self) -> None:
         """Release engines, the store handle and the queue connection."""

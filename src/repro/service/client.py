@@ -40,7 +40,10 @@ server's *now*, so remaining-time arithmetic stays skew-free.
 
 from __future__ import annotations
 
+import abc
+import functools
 import http.client
+import inspect
 import json
 import random
 import socket
@@ -57,6 +60,7 @@ from repro.service.protocol import (
     COMPRESS_THRESHOLD,
     MAX_BODY,
     MAX_CLAIM_COUNT,
+    ROUTES,
     WIRE_HEADER,
     WIRE_VERSION,
     BodyTooLarge,
@@ -64,6 +68,7 @@ from repro.service.protocol import (
     redact,
     resolve_token,
 )
+from repro.store.backend import SqliteBackend
 
 #: Attempts before a transient failure is given up on (initial
 #: connection and mid-campaign alike). Overridable per client and via
@@ -312,7 +317,8 @@ class ServiceClient:
                    "Content-Type": "application/json",
                    "Accept-Encoding": COMPRESS_ENCODING}
         if method == "POST":
-            body = json.dumps(payload or {}).encode("utf-8")
+            # Iterables JSON cannot encode (generators, sets) go as lists.
+            body = json.dumps(payload or {}, default=list).encode("utf-8")
             if len(body) >= COMPRESS_THRESHOLD:
                 body = zlib.compress(body)
                 headers["Content-Encoding"] = COMPRESS_ENCODING
@@ -435,7 +441,58 @@ class ServiceClient:
             return 0.0
 
 
-class HttpQueue(TaskQueue):
+def _routed(owner: str, spec: type):
+    """Class decorator: a method for each route whose target is an
+    ``owner`` method the class does not write itself.
+
+    A generated method has the signature and docstring of ``spec``'s
+    method of that name, sends its arguments as the route's body fields
+    in table order, and returns the reply value.
+    """
+    def decorate(cls):
+        for route in ROUTES.values():
+            prefix, _, name = (route.target or "").partition(".")
+            if prefix == owner and name not in vars(cls):
+                method = _route_method(route.path, getattr(spec, name))
+                method.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, method)
+        abc.update_abstractmethods(cls)
+        return cls
+    return decorate
+
+
+def _route_method(path: str, spec):
+    signature = inspect.signature(spec)
+
+    def method(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        return self._call(path, *list(bound.arguments.values())[1:])
+
+    return functools.update_wrapper(method, spec, ("__name__", "__doc__"), ())
+
+
+class _RouteCaller:
+    """What :class:`HttpQueue` and :class:`HttpBackend` share: one
+    request per call, its body built from the route table."""
+
+    client: ServiceClient
+
+    def _call(self, path: str, *values):
+        """Send ``values`` as ``path``'s body fields, in table order;
+        return the reply value (``None`` for an acknowledgement)."""
+        route = ROUTES[path]
+        reply = self.client.call(route.method, path, {
+            arg.name: value for arg, value in zip(route.args, values)})
+        return None if route.reply is None else reply[route.reply]
+
+    def close(self) -> None:
+        """Release the calling thread's persistent connection."""
+        self.client.close()
+
+
+@_routed("queue", TaskQueue)
+class HttpQueue(_RouteCaller, TaskQueue):
     """The fabric queue contract, spoken to a remote experiment service.
 
     Construction is cheap and does not touch the network; the first
@@ -443,7 +500,8 @@ class HttpQueue(TaskQueue):
     worker started before its server comes up simply waits). The
     server's :class:`~repro.fabric.queue.JobQueue` holds the actual
     state; this class is marshalling only, which is how both transports
-    stay semantically identical.
+    stay semantically identical. Methods without logic of their own are
+    generated from :data:`~repro.service.protocol.ROUTES`.
     """
 
     def __init__(
@@ -458,28 +516,13 @@ class HttpQueue(TaskQueue):
                                     max_retries=max_retries)
         self.lease_seconds = lease_seconds
 
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
-    def enqueue(self, tasks, submitted_by: str = None) -> int:
-        """Insert or revive ``[(key, kind, payload_dict), ...]``; returns
-        the rows inserted or revived."""
-        reply = self.client.call("POST", "queue/enqueue", {
-            "tasks": [[key, kind, payload] for key, kind, payload in tasks],
-            "submitted_by": submitted_by,
-        })
-        return reply["added"]
-
-    def requeue_dead(self) -> int:
-        """Restore every dead-lettered task's claim budget; returns count."""
-        return self.client.call("POST", "queue/requeue-dead", {})["requeued"]
+    def _lease(self, lease_seconds):
+        return self.lease_seconds if lease_seconds is None else lease_seconds
 
     def cancel(self, keys) -> list:
         """Withdraw still-``queued`` tasks; returns the keys removed."""
         keys = list(keys)
-        if not keys:
-            return []
-        return self.client.call("POST", "queue/cancel", {"keys": keys})["cancelled"]
+        return self._call("queue/cancel", keys) if keys else []
 
     # ------------------------------------------------------------------
     # Worker side
@@ -518,11 +561,8 @@ class HttpQueue(TaskQueue):
                 return [], {}
             sent = self.send_claim(worker_id, n, lease_seconds, wait, precheck)
         reply = sent.result()
-        tasks = [Task(key=row["key"], kind=row["kind"],
-                      payload=row["payload"], attempts=row["attempts"],
-                      max_attempts=row["max_attempts"])
-                 for row in reply["tasks"]]
-        return tasks, (reply.get("results") or {})
+        return ([Task(**row) for row in reply["tasks"]],
+                reply.get("results") or {})
 
     def send_claim(self, worker_id: str, n: int, lease_seconds: float = None,
                    wait: float = None, precheck: bool = True,
@@ -545,8 +585,7 @@ class HttpQueue(TaskQueue):
         """
         payload = {
             "worker": worker_id, "count": min(int(n), MAX_CLAIM_COUNT),
-            "lease_seconds": lease_seconds
-            if lease_seconds is not None else self.lease_seconds,
+            "lease_seconds": self._lease(lease_seconds),
             **self._finished_work(completions, results),
         }
         timeout = None
@@ -563,17 +602,13 @@ class HttpQueue(TaskQueue):
         payload = {"completions": [{"key": key, "worker": worker}
                                    for key, worker in completions]}
         if results:
-            payload["results"] = [[key, value] for key, value in results]
+            payload["results"] = results
         return payload
 
     def heartbeat(self, key: str, worker_id: str, lease_seconds: float = None) -> bool:
         """Extend a held lease; ``False`` when the lease was lost."""
-        reply = self.client.call("POST", "queue/heartbeat", {
-            "key": key, "worker": worker_id,
-            "lease_seconds": lease_seconds
-            if lease_seconds is not None else self.lease_seconds,
-        })
-        return reply["ok"]
+        return self._call("queue/heartbeat", key, worker_id,
+                          self._lease(lease_seconds))
 
     def complete(self, key: str, worker_id: str) -> bool:
         """:meth:`complete_many` for one task."""
@@ -611,86 +646,37 @@ class HttpQueue(TaskQueue):
         return self.client.send("POST", "queue/complete",
                                 self._finished_work(completions, results))
 
-    def release(self, key: str, worker_id: str) -> bool:
-        """Return a held lease unstarted (attempt refunded)."""
-        reply = self.client.call("POST", "queue/release", {
-            "key": key, "worker": worker_id,
-        })
-        return reply["ok"]
-
     def fail(self, key: str, worker_id: str, error: str) -> str:
         """Record a task failure; returns the resulting state."""
-        reply = self.client.call("POST", "queue/fail", {
-            "key": key, "worker": worker_id,
-            "error": redact(error, self.client.token),
-        })
-        return reply["state"]
-
-    # ------------------------------------------------------------------
-    # Worker registry
-    # ------------------------------------------------------------------
-    def register_worker(self, worker_id: str = None, pid: int = None,
-                        host: str = None) -> str:
-        """Insert (or refresh) a worker row; returns the worker id."""
-        reply = self.client.call("POST", "workers/register", {
-            "worker_id": worker_id, "pid": pid, "host": host,
-        })
-        return reply["worker_id"]
+        return self._call("queue/fail", key, worker_id,
+                          redact(error, self.client.token))
 
     def worker_beat(self, worker_id: str, tasks_done: int = None,
-                    tasks_failed: int = None, telemetry: dict = None) -> None:
-        """Refresh a worker row: liveness, counters, engine telemetry."""
-        self.client.call("POST", "workers/beat", {
-            "worker_id": worker_id, "tasks_done": tasks_done,
-            "tasks_failed": tasks_failed, "telemetry": telemetry,
-        })
-
-    def workers(self) -> list:
-        """All worker rows as dicts (telemetry JSON decoded)."""
-        return self.client.call("GET", "workers")["workers"]
+                    tasks_failed: int = None, telemetry: dict = None,
+                    keys=(), lease_seconds: float = None) -> None:
+        """Refresh a worker row and renew the leases of ``keys`` and of
+        the latest claim (see :meth:`TaskQueue.worker_beat`)."""
+        self._call("workers/beat", worker_id, tasks_done, tasks_failed,
+                   telemetry, keys, self._lease(lease_seconds))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def states(self, keys) -> dict:
-        """``{key: state}`` for the given keys (missing keys absent)."""
-        return self.client.call("POST", "queue/states",
-                                {"keys": list(keys)})["states"]
-
-    def counts(self) -> dict:
-        """Row count per task state (all states present, zeros kept)."""
-        return self.client.call("GET", "queue/counts")["counts"]
-
     def retries(self) -> int:
         """Total extra claims beyond each task's first (retry pressure)."""
         return self.client.call("GET", "queue/counts")["retries"]
 
     def leases(self, now: float = None) -> list:
         """Live lease rows, soonest expiry first (server-clock expiry)."""
-        reply = self.client.call("GET", "queue/leases")
-        return [Lease(key=row["key"], worker=row["worker"],
-                      expires=row["expires"], attempts=row["attempts"])
-                for row in reply["leases"]]
+        return [Lease(**row) for row in self._call("queue/leases")]
 
     def dead(self) -> list:
         """Dead-letter rows as ``(key, attempts, error)`` tuples."""
-        return [tuple(row) for row in
-                self.client.call("GET", "queue/dead")["dead"]]
-
-    def errors(self, key: str):
-        """Last recorded error text for ``key`` (or ``None``)."""
-        return self.client.call("POST", "queue/errors", {"key": key})["error"]
-
-    def purge_done(self) -> int:
-        """Drop completed rows (results live in the store); returns count."""
-        return self.client.call("POST", "queue/purge-done")["purged"]
-
-    def close(self) -> None:
-        """Release the calling thread's persistent connection."""
-        self.client.close()
+        return [tuple(row) for row in self._call("queue/dead")]
 
 
-class HttpBackend:
+@_routed("backend", SqliteBackend)
+class HttpBackend(_RouteCaller):
     """The store backend protocol, spoken to a remote experiment service.
 
     Implements the same surface as
@@ -701,6 +687,8 @@ class HttpBackend:
     measurements, trial costs, checkpoints and the run registry all
     pass through to the server's SQLite file. Construction handshakes
     eagerly (with retries), so a bad URL or token fails at open time.
+    Methods without logic of their own are generated from
+    :data:`~repro.service.protocol.ROUTES`.
     """
 
     kind = "http"
@@ -718,10 +706,7 @@ class HttpBackend:
         """Service base URL this backend talks to."""
         return self.client.url
 
-    @property
-    def path(self) -> str:
-        """The backend's address — for HTTP, the service URL."""
-        return self.client.url
+    path = url  # the backend's address is the service URL
 
     @property
     def token(self):
@@ -735,54 +720,15 @@ class HttpBackend:
     def get_many(self, table: str, keys) -> dict:
         """Fetch ``{key: value_or_None}`` for many keys in one request."""
         keys = list(keys)
-        if not keys:
-            return {}
-        return self.client.call("POST", "store/get-many",
-                                {"table": table, "keys": keys})["values"]
+        return self._call("store/get-many", table, keys) if keys else {}
 
     def put(self, table: str, key: str, value: str, replace: bool = True) -> bool:
         """Store one value; ``False`` when ``replace=False`` skipped it."""
         return self.put_many(table, [(key, value)], replace=replace) == 1
 
-    def put_many(self, table: str, items, replace: bool = True) -> int:
-        """Store many ``(key, value)`` pairs in one request."""
-        return self.client.call("POST", "store/put-many", {
-            "table": table,
-            "items": [[key, value] for key, value in items],
-            "replace": replace,
-        })["written"]
-
-    def delete(self, table: str, key: str) -> bool:
-        """Delete one key; ``True`` when a row was removed."""
-        return bool(self.client.call("POST", "store/delete",
-                                     {"table": table, "key": key})["deleted"])
-
     def items(self, table: str) -> list:
         """All ``(key, value, created_at)`` rows of a table."""
-        reply = self.client.call("POST", "store/items", {"table": table})
-        return [tuple(row) for row in reply["rows"]]
-
-    def count(self, table: str) -> int:
-        """Row count of a table."""
-        return self.client.call("POST", "store/count", {"table": table})["count"]
-
-    def prune(self, table: str, older_than: float) -> int:
-        """Drop rows created before ``older_than``; returns rows removed."""
-        return self.client.call("POST", "store/prune", {
-            "table": table, "older_than": older_than,
-        })["pruned"]
-
-    def size_bytes(self) -> int:
-        """On-disk size of the server-side database."""
-        return self.client.call("GET", "store/size")["size_bytes"]
-
-    def vacuum(self) -> None:
-        """Compact the server-side database."""
-        self.client.call("POST", "store/vacuum")
-
-    def close(self) -> None:
-        """Release the calling thread's persistent connection."""
-        self.client.close()
+        return [tuple(row) for row in self._call("store/items", table)]
 
 
 def fetch_status(url: str, token: str = None,

@@ -29,6 +29,10 @@ Operational guards:
 - **version handshake** — requests carry the wire version header and
   mismatches get ``426``; ``GET /api/v1/handshake`` reports wire,
   fabric-schema and store-schema versions so clients can fail fast.
+- **input checks** — every body is checked against its route in
+  :data:`~repro.service.protocol.ROUTES` before the queue or the store
+  sees it; a missing, mistyped or unknown field is a ``400`` that names
+  the field, which clients do not retry.
 
 Concurrency: handler threads share one :class:`JobQueue` and one
 :class:`ResultStore`, both internally locked; many workers hammering
@@ -56,19 +60,21 @@ from repro.service.protocol import (
     COMPRESS_ENCODING,
     COMPRESS_THRESHOLD,
     MAX_BODY,
-    MAX_CLAIM_COUNT,
     MAX_CLAIM_WAIT,
+    MIN_TOKEN_LENGTH,
     RETRY_AFTER_SECONDS,
+    ROUTES,
     WIRE_HEADER,
     WIRE_VERSION,
+    BadRequest,
     BodyTooLarge,
+    check_body,
     inflate,
     redact,
     resolve_token,
 )
 from repro.store import open_store
 from repro.store.backend import SCHEMA_VERSION as STORE_SCHEMA_VERSION
-from repro.store.backend import TABLES
 
 
 class _ServiceError(Exception):
@@ -90,7 +96,8 @@ class ExperimentService:
     token:
         Bearer token every request must present; falls back to the
         ``REPRO_TOKEN`` environment variable. Required — the service
-        refuses to start without one.
+        refuses to start without one, or with one shorter than
+        :data:`~repro.service.protocol.MIN_TOKEN_LENGTH`.
     host / port:
         Bind address. ``port=0`` picks a free port (tests); the bound
         port is available as :attr:`port` / :attr:`url`.
@@ -120,17 +127,26 @@ class ExperimentService:
     ) -> None:
         self.store_path = str(store_path)
         self.token = resolve_token(token)
-        if not self.token:
+        if len(self.token or "") < MIN_TOKEN_LENGTH:
             raise ValueError(
-                "the experiment service requires an auth token: pass token=... "
-                "(or --token) or set the REPRO_TOKEN environment variable"
+                f"the experiment service requires an auth token of at least "
+                f"{MIN_TOKEN_LENGTH} characters: pass token=... (or --token) "
+                f"or set the REPRO_TOKEN environment variable"
             )
         self.max_depth = max_depth
         self.progress = progress
         self.queue = JobQueue(self.store_path, lease_seconds=lease_seconds,
                               max_attempts=max_attempts)
         self.store = open_store(self.store_path)
-        self._routes = self._build_routes()
+        self._handlers = {
+            "handshake": self._ep_handshake,
+            "queue/enqueue": self._ep_enqueue,
+            "queue/claim": self._ep_claim,
+            "queue/complete": self._ep_complete,
+            "queue/counts": self._ep_counts,
+            "queue/leases": self._ep_leases,
+            "status": self._ep_status,
+        }
         self._thread = None
         service = self
 
@@ -196,16 +212,16 @@ class ExperimentService:
             if not path.startswith(API_PREFIX):
                 raise _ServiceError(404, f"unknown path {path!r}; API lives "
                                          f"under {API_PREFIX}/")
-            route = path[len(API_PREFIX):].strip("/")
+            endpoint = path[len(API_PREFIX):].strip("/")
             raw = handler.rfile.read(length) if length else b""
             unread = False
-            if route != "handshake":
+            if endpoint != "handshake":
                 self._check_version(handler)
-            func = self._routes.get((method, route))
-            if func is None:
-                raise _ServiceError(404, f"unknown endpoint {method} /{route}")
-            payload = self._read_body(handler, raw) if method == "POST" else {}
-            self._reply(handler, 200, func(payload))
+            route = ROUTES.get(endpoint)
+            if route is None or route.method != method:
+                raise _ServiceError(404, f"unknown endpoint {method} /{endpoint}")
+            body = self._read_body(handler, raw) if method == "POST" else {}
+            self._reply(handler, 200, self._dispatch(route, body))
         except _ServiceError as exc:
             headers = exc.headers
             if unread:
@@ -272,7 +288,7 @@ class ExperimentService:
                      f"this server speaks identity and {COMPRESS_ENCODING}")
         try:
             payload = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise _ServiceError(400, f"malformed JSON body: {exc}") from None
         if not isinstance(payload, dict):
             raise _ServiceError(400, "request body must be a JSON object")
@@ -302,38 +318,26 @@ class ExperimentService:
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
-    def _build_routes(self) -> dict:
-        return {
-            ("GET", "handshake"): self._ep_handshake,
-            ("POST", "queue/enqueue"): self._ep_enqueue,
-            ("POST", "queue/claim"): self._ep_claim,
-            ("POST", "queue/heartbeat"): self._ep_heartbeat,
-            ("POST", "queue/complete"): self._ep_complete,
-            ("POST", "queue/release"): self._ep_release,
-            ("POST", "queue/fail"): self._ep_fail,
-            ("POST", "queue/requeue-dead"): self._ep_requeue_dead,
-            ("POST", "queue/cancel"): self._ep_cancel,
-            ("POST", "queue/states"): self._ep_states,
-            ("GET", "queue/counts"): self._ep_counts,
-            ("GET", "queue/leases"): self._ep_leases,
-            ("GET", "queue/dead"): self._ep_dead,
-            ("POST", "queue/errors"): self._ep_errors,
-            ("POST", "queue/purge-done"): self._ep_purge_done,
-            ("POST", "workers/register"): self._ep_register,
-            ("POST", "workers/beat"): self._ep_beat,
-            ("GET", "workers"): self._ep_workers,
-            ("POST", "store/get-many"): self._ep_store_get_many,
-            ("POST", "store/put-many"): self._ep_store_put_many,
-            ("POST", "store/delete"): self._ep_store_delete,
-            ("POST", "store/items"): self._ep_store_items,
-            ("POST", "store/count"): self._ep_store_count,
-            ("POST", "store/prune"): self._ep_store_prune,
-            ("GET", "store/size"): self._ep_store_size,
-            ("POST", "store/vacuum"): self._ep_store_vacuum,
-            ("GET", "status"): self._ep_status,
-        }
+    def _dispatch(self, route, body: dict) -> dict:
+        """Check ``body`` against its route, then answer it.
 
-    def _ep_handshake(self, payload: dict) -> dict:
+        A route with logic of its own has a handler; every other route
+        calls its target with the checked fields and wraps the result
+        under its reply key.
+        """
+        try:
+            args = check_body(route, body)
+        except BadRequest as exc:
+            raise _ServiceError(400, str(exc)) from None
+        handler = self._handlers.get(route.path)
+        if handler is not None:
+            return handler(args)
+        owner, name = route.target.split(".")
+        target = self.queue if owner == "queue" else self.store.backend
+        result = getattr(target, name)(*args.values())
+        return {"ok": True} if route.reply is None else {route.reply: result}
+
+    def _ep_handshake(self, args: dict) -> dict:
         return {
             "service": "repro-serve",
             "wire_version": WIRE_VERSION,
@@ -341,7 +345,7 @@ class ExperimentService:
             "store_schema_version": STORE_SCHEMA_VERSION,
         }
 
-    def _ep_enqueue(self, payload: dict) -> dict:
+    def _ep_enqueue(self, args: dict) -> dict:
         if self.max_depth is not None:
             depth = self.queue.depth()
             if depth >= self.max_depth:
@@ -351,12 +355,9 @@ class ExperimentService:
                     f"{self.max_depth}; retry after the fleet drains",
                     headers={"Retry-After": f"{RETRY_AFTER_SECONDS:g}"},
                 )
-        tasks = [(key, kind, task_payload)
-                 for key, kind, task_payload in payload.get("tasks", [])]
-        added = self.queue.enqueue(tasks, submitted_by=payload.get("submitted_by"))
-        return {"added": added}
+        return {"added": self.queue.enqueue(args["tasks"], args["submitted_by"])}
 
-    def _ep_claim(self, payload: dict) -> dict:
+    def _ep_claim(self, args: dict) -> dict:
         """Claim up to ``count`` tasks, parking up to ``wait`` seconds.
 
         Result rows and acks the request carries are written first, as
@@ -368,28 +369,14 @@ class ExperimentService:
         SQLite's ``data_version`` for writers that bypass the service
         and touch the SQLite file directly.
         """
-        worker, count = payload.get("worker"), payload.get("count")
-        wait = payload.get("wait", 0)
-        if not isinstance(worker, str):
-            raise _ServiceError(400, "queue/claim needs a string 'worker'")
-        if type(count) is not int or not 1 <= count <= MAX_CLAIM_COUNT:
-            raise _ServiceError(400, f"queue/claim 'count' must be an integer "
-                                     f"from 1 to {MAX_CLAIM_COUNT}")
-        if type(wait) not in (int, float) or not wait >= 0:
-            raise _ServiceError(400, "queue/claim 'wait' must be a "
-                                     "non-negative number of seconds")
-        completions, results = self._finished_work(payload, "queue/claim")
         # The acks commit before the claim can park: a worker that
         # waits on an empty queue holds no unacked work.
-        oks = self._commit(completions, results)
-        tasks = self.queue.claim_many(worker, count,
-                                      payload.get("lease_seconds"),
-                                      min(wait, MAX_CLAIM_WAIT))
-        reply = {"ok": oks, "tasks": [{
-            "key": task.key, "kind": task.kind, "payload": task.payload,
-            "attempts": task.attempts, "max_attempts": task.max_attempts,
-        } for task in tasks]}
-        if payload.get("precheck") and tasks:
+        oks = self._ep_complete(args)["ok"]
+        tasks = self.queue.claim_many(args["worker"], args["count"],
+                                      args["lease_seconds"],
+                                      min(args["wait"], MAX_CLAIM_WAIT))
+        reply = {"ok": oks, "tasks": [vars(task) for task in tasks]}
+        if args["precheck"] and tasks:
             # Piggyback the store precheck on the claim: answer "was
             # this key already computed?" for every claimed task in
             # the same round trip, so workers skip a separate
@@ -398,149 +385,22 @@ class ExperimentService:
                 "sim_results", [task.key for task in tasks])
         return reply
 
-    def _ep_heartbeat(self, payload: dict) -> dict:
-        ok = self.queue.heartbeat(
-            payload["key"], payload["worker"],
-            lease_seconds=payload.get("lease_seconds"),
-        )
-        return {"ok": ok}
-
-    @staticmethod
-    def _finished_work(payload: dict, route: str) -> tuple:
-        """The ``completions`` and ``results`` a request carries, checked.
-
-        Both are optional lists: ``completions`` of ``{key, worker}``
-        string objects, ``results`` of ``[key, value]`` string pairs.
-        Anything else is a 400 that names the field.
-        """
-        completions = payload.get("completions", [])
-        if not isinstance(completions, list) or not all(
-                isinstance(item, dict) and isinstance(item.get("key"), str)
-                and isinstance(item.get("worker"), str)
-                for item in completions):
-            raise _ServiceError(400, f"{route} 'completions' must be a list "
-                                     f"of {{key, worker}} string objects")
-        results = payload.get("results", [])
-        if not isinstance(results, list) or not all(
-                isinstance(row, list) and len(row) == 2
-                and all(isinstance(part, str) for part in row)
-                for row in results):
-            raise _ServiceError(400, f"{route} 'results' must be a list of "
-                                     f"[key, value] string pairs")
-        return ([(item["key"], item["worker"]) for item in completions],
-                [(key, value) for key, value in results])
-
-    def _commit(self, completions: list, results: list) -> list:
+    def _ep_complete(self, args: dict) -> dict:
         """Write result rows, then ack: a task must never read as done
-        while its result row is unreadable. Returns the per-ack bools."""
-        if results:
-            self.store.backend.put_many("sim_results", results)
-        return self.queue.complete_many(completions)
+        while its result row is unreadable."""
+        if args["results"]:
+            self.store.backend.put_many("sim_results", args["results"])
+        return {"ok": self.queue.complete_many(
+            (item["key"], item["worker"]) for item in args["completions"])}
 
-    def _ep_complete(self, payload: dict) -> dict:
-        return {"ok": self._commit(
-            *self._finished_work(payload, "queue/complete"))}
-
-    def _ep_release(self, payload: dict) -> dict:
-        return {"ok": self.queue.release(payload["key"], payload["worker"])}
-
-    def _ep_fail(self, payload: dict) -> dict:
-        state = self.queue.fail(
-            payload["key"], payload["worker"], payload.get("error", "")
-        )
-        return {"state": state}
-
-    def _ep_requeue_dead(self, payload: dict) -> dict:
-        return {"requeued": self.queue.requeue_dead()}
-
-    def _ep_cancel(self, payload: dict) -> dict:
-        return {"cancelled": self.queue.cancel(payload.get("keys", []))}
-
-    def _ep_states(self, payload: dict) -> dict:
-        return {"states": self.queue.states(payload.get("keys", []))}
-
-    def _ep_counts(self, payload: dict) -> dict:
+    def _ep_counts(self, args: dict) -> dict:
         return {"counts": self.queue.counts(), "retries": self.queue.retries()}
 
-    def _ep_leases(self, payload: dict) -> dict:
-        return {"leases": [
-            {"key": lease.key, "worker": lease.worker,
-             "expires": lease.expires, "attempts": lease.attempts}
-            for lease in self.queue.leases()
-        ], "now": time.time()}
+    def _ep_leases(self, args: dict) -> dict:
+        return {"leases": [vars(lease) for lease in self.queue.leases()],
+                "now": time.time()}
 
-    def _ep_dead(self, payload: dict) -> dict:
-        return {"dead": [list(row) for row in self.queue.dead()]}
-
-    def _ep_errors(self, payload: dict) -> dict:
-        return {"error": self.queue.errors(payload["key"])}
-
-    def _ep_purge_done(self, payload: dict) -> dict:
-        return {"purged": self.queue.purge_done()}
-
-    def _ep_register(self, payload: dict) -> dict:
-        worker_id = self.queue.register_worker(
-            payload.get("worker_id"), pid=payload.get("pid"),
-            host=payload.get("host"),
-        )
-        return {"worker_id": worker_id}
-
-    def _ep_beat(self, payload: dict) -> dict:
-        self.queue.worker_beat(
-            payload["worker_id"], tasks_done=payload.get("tasks_done"),
-            tasks_failed=payload.get("tasks_failed"),
-            telemetry=payload.get("telemetry"),
-        )
-        return {"ok": True}
-
-    def _ep_workers(self, payload: dict) -> dict:
-        return {"workers": self.queue.workers()}
-
-    # -- store backend pass-through ------------------------------------
-    @staticmethod
-    def _table(payload: dict) -> str:
-        table = payload.get("table")
-        if table not in TABLES:
-            raise _ServiceError(400, f"unknown store table {table!r}; "
-                                     f"one of {', '.join(TABLES)}")
-        return table
-
-    def _ep_store_get_many(self, payload: dict) -> dict:
-        return {"values": self.store.backend.get_many(
-            self._table(payload), payload.get("keys", []))}
-
-    def _ep_store_put_many(self, payload: dict) -> dict:
-        written = self.store.backend.put_many(
-            self._table(payload),
-            [(key, value) for key, value in payload.get("items", [])],
-            replace=bool(payload.get("replace", True)),
-        )
-        return {"written": written}
-
-    def _ep_store_delete(self, payload: dict) -> dict:
-        return {"deleted": self.store.backend.delete(self._table(payload),
-                                                     payload["key"])}
-
-    def _ep_store_items(self, payload: dict) -> dict:
-        rows = self.store.backend.items(self._table(payload))
-        return {"rows": [list(row) for row in rows]}
-
-    def _ep_store_count(self, payload: dict) -> dict:
-        return {"count": self.store.backend.count(self._table(payload))}
-
-    def _ep_store_prune(self, payload: dict) -> dict:
-        return {"pruned": self.store.backend.prune(
-            self._table(payload), float(payload["older_than"])
-        )}
-
-    def _ep_store_size(self, payload: dict) -> dict:
-        return {"size_bytes": self.store.backend.size_bytes()}
-
-    def _ep_store_vacuum(self, payload: dict) -> dict:
-        self.store.backend.vacuum()
-        return {"ok": True}
-
-    def _ep_status(self, payload: dict) -> dict:
+    def _ep_status(self, args: dict) -> dict:
         from repro.fabric.status import status_snapshot
 
         return status_snapshot(self.store_path)

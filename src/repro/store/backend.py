@@ -245,6 +245,7 @@ class SqliteBackend:
         return self.put_many(table, [(key, value)], replace=replace) == 1
 
     def put_many(self, table: str, items, replace: bool = True) -> int:
+        """Store many ``(key, value)`` pairs; returns the rows written."""
         verb = "INSERT OR REPLACE" if replace else "INSERT OR IGNORE"
         now = time.time()
         rows = [(key, value, now) for key, value in items]
@@ -256,6 +257,7 @@ class SqliteBackend:
             ).rowcount)
 
     def delete(self, table: str, key: str) -> bool:
+        """Delete one key; ``True`` when a row was removed."""
         with self._lock:
             return retry_busy(lambda: self._conn.execute(
                 f"DELETE FROM {table} WHERE key = ?", (key,)
@@ -270,24 +272,28 @@ class SqliteBackend:
             ))
 
     def count(self, table: str) -> int:
+        """Row count of a table."""
         with self._lock:
             return retry_busy(lambda: self._conn.execute(
                 f"SELECT COUNT(*) FROM {table}"
             ).fetchone()[0])
 
     def prune(self, table: str, older_than: float) -> int:
+        """Drop rows created before ``older_than``; returns rows removed."""
         with self._lock:
             return retry_busy(lambda: self._conn.execute(
                 f"DELETE FROM {table} WHERE created < ?", (older_than,)
             ).rowcount)
 
     def size_bytes(self) -> int:
+        """On-disk size of the database file."""
         try:
             return os.path.getsize(self.path)
         except OSError:
             return 0
 
     def vacuum(self) -> None:
+        """Compact the database file."""
         with self._lock:
             retry_busy(lambda: self._conn.execute("VACUUM"))
 

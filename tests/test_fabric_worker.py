@@ -284,9 +284,9 @@ class TestOneIoThread:
             return
         from repro.service.server import ExperimentService
 
-        service = ExperimentService(tmp_path / "svc.sqlite", token="io-thread",
+        service = ExperimentService(tmp_path / "svc.sqlite", token="io-thread-secret",
                                     port=0).start()
-        yield service.url, "io-thread"
+        yield service.url, "io-thread-secret"
         service.stop()
         service.close()
 
@@ -458,9 +458,9 @@ class TestPipelineEdges:
             return
         from repro.service.server import ExperimentService
 
-        service = ExperimentService(tmp_path / "svc.sqlite", token="edges",
+        service = ExperimentService(tmp_path / "svc.sqlite", token="pipeline-edges-secret",
                                     port=0).start()
-        yield service.url, "edges", service
+        yield service.url, "pipeline-edges-secret", service
         service.stop()
         service.close()
 
@@ -534,6 +534,60 @@ class TestPipelineEdges:
         assert {key: rows[key] for key in keys} == {
             **dict.fromkeys(keys[:depth], ("done", 1)),
             **dict.fromkeys(keys[depth:], ("queued", 0))}
+
+    def test_one_beat_per_interval_renews_every_held_lease(
+            self, spec, monkeypatch):
+        """The heartbeat thread renews every lease the worker holds with
+        one ``workers/beat`` per interval and no ``queue/heartbeat``: a
+        task three leases long keeps the five claimed behind it."""
+        spec, token, service = spec
+        keys = ["a-long", *(f"b-short{i}" for i in range(5))]
+        worker = FabricWorker(spec, lease=0.6, poll=0.02, drain=True,
+                              token=token)
+        worker.queue.enqueue([(key, "sleep", {"seconds": 1.8 if i == 0 else 0.0})
+                              for i, key in enumerate(keys)])
+        requests = []  # (endpoint, thread)
+        if service is None:  # a local queue call is one transaction
+            for name, endpoint in (("heartbeat", "queue/heartbeat"),
+                                   ("worker_beat", "workers/beat")):
+                original = getattr(worker.queue, name)
+
+                def recorded(*args, _endpoint=endpoint, _original=original,
+                             **kwargs):
+                    requests.append((_endpoint, threading.get_ident()))
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(worker.queue, name, recorded)
+        else:
+            send = worker.queue.client.send
+
+            def recorded_send(method, endpoint, *args, **kwargs):
+                requests.append((endpoint, threading.get_ident()))
+                return send(method, endpoint, *args, **kwargs)
+
+            monkeypatch.setattr(worker.queue.client, "send", recorded_send)
+        thief = JobQueue(store_of(spec, service))
+        stolen = []
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            assert wait_for(lambda: thief.states(keys) == dict.fromkeys(
+                keys, "leased"))
+            deadline = time.monotonic() + 30
+            while thread.is_alive() and time.monotonic() < deadline:
+                stolen.extend(thief.claim_many("thief", len(keys)))
+                time.sleep(0.05)
+        finally:
+            worker.stop()
+            thread.join(timeout=30)
+            thief.close()
+        assert not thread.is_alive()
+        beats = [endpoint for endpoint, ident in requests
+                 if ident != thread.ident]
+        assert "queue/heartbeat" not in {endpoint for endpoint, _ in requests}
+        assert set(beats) == {"workers/beat"} and len(beats) >= 4, beats
+        assert stolen == []
+        assert worker.stats.lost_leases == 0 and worker.stats.completed == 6
 
     def test_a_long_task_keeps_the_leases_of_acks_in_flight(
             self, spec, monkeypatch):

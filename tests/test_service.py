@@ -11,6 +11,7 @@ import contextlib
 import http.client
 import http.server
 import json
+import os
 import re
 import socket
 import threading
@@ -20,7 +21,10 @@ import urllib.request
 import zlib
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.service import protocol
 from repro.service.client import (
     HttpBackend,
     HttpQueue,
@@ -32,6 +36,8 @@ from repro.service.protocol import (
     API_PREFIX,
     MAX_BODY,
     MAX_CLAIM_COUNT,
+    MIN_TOKEN_LENGTH,
+    REDACTED,
     TOKEN_ENV,
     WIRE_HEADER,
     WIRE_VERSION,
@@ -39,6 +45,7 @@ from repro.service.protocol import (
     resolve_token,
 )
 from repro.service.server import ExperimentService
+from repro.store.backend import TABLES
 
 TOKEN = "unit-test-secret"
 
@@ -94,20 +101,29 @@ class TestHandshakeAndVersioning:
         with pytest.raises(ServiceError, match="wire version mismatch"):
             client.handshake()
 
-    def test_a_v4_peer_fails_the_handshake(self, service, monkeypatch):
-        """v5 changed the claim: a v4 client is refused on either side."""
+    @staticmethod
+    def _refused_on_either_side(service, monkeypatch, old):
         import repro.service.client as client_mod
 
-        assert WIRE_VERSION == 5
+        assert WIRE_VERSION == 6
         with pytest.raises(urllib.error.HTTPError) as err:
-            _raw_request(service.url, wire="4", method="POST",
+            _raw_request(service.url, wire=str(old), method="POST",
                          endpoint="queue/claim", body={"worker": "w", "count": 1})
         assert err.value.code == 426
-        monkeypatch.setattr(client_mod, "WIRE_VERSION", 4)
+        monkeypatch.setattr(client_mod, "WIRE_VERSION", old)
         client = ServiceClient(service.url, token=TOKEN, max_retries=0)
-        with pytest.raises(ServiceError, match="server .* speaks v5, this "
-                                               "client v4"):
+        with pytest.raises(ServiceError, match=f"server .* speaks v6, this "
+                                               f"client v{old}"):
             client.handshake()
+
+    def test_a_v4_peer_fails_the_handshake(self, service, monkeypatch):
+        """v5 changed the claim: a v4 client is refused on either side."""
+        self._refused_on_either_side(service, monkeypatch, 4)
+
+    def test_a_v5_peer_fails_the_handshake(self, service, monkeypatch):
+        """v6 added the beat's ``keys``, which a v5 server would ignore
+        without a word: a v5 client is refused on either side."""
+        self._refused_on_either_side(service, monkeypatch, 5)
 
 
 class TestAuth:
@@ -134,11 +150,16 @@ class TestAuth:
         with pytest.raises(ValueError, match="token"):
             ExperimentService(tmp_path / "x.sqlite")
 
+    def test_server_refuses_a_short_token(self, tmp_path):
+        with pytest.raises(ValueError, match=f"at least {MIN_TOKEN_LENGTH}"):
+            ExperimentService(tmp_path / "x.sqlite", token="t")
+        assert len(TOKEN) >= MIN_TOKEN_LENGTH
+
     def test_token_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TOKEN_ENV, "from-env")
+        monkeypatch.setenv(TOKEN_ENV, "from-env-secret-token")
         svc = ExperimentService(tmp_path / "x.sqlite", port=0).start()
         try:
-            assert svc.token == "from-env"
+            assert svc.token == "from-env-secret-token"
             # client side resolves the same variable
             queue = HttpQueue(svc.url)
             assert queue.enqueue([("k", "sleep", {})]) == 1
@@ -175,6 +196,19 @@ class TestRedaction:
             svc.close()
         assert lines  # request logging happened
         assert all(TOKEN not in line for line in lines)
+
+    def test_worker_progress_lines_are_not_mangled(self, service):
+        """Under a token of the minimum length, redaction rewrites only
+        the token itself: a worker's progress lines read as written."""
+        from repro.fabric import FabricWorker
+
+        HttpQueue(service.url, token=TOKEN).enqueue(
+            [("nap-a", "sleep", {"seconds": 0.0})])
+        lines = []
+        FabricWorker(service.url, drain=True, token=TOKEN,
+                     progress=lines.append).run()
+        assert any("done sleep (attempt 1/3)" in line for line in lines), lines
+        assert not any(REDACTED in line for line in lines), lines
 
     def test_http_queue_fail_redacts_error_text(self, service):
         queue = HttpQueue(service.url, token=TOKEN)
@@ -703,6 +737,39 @@ class TestExecutorOverHttp:
             FabricExecutor(open_store("memory"))
 
 
+#: Claim bodies with a malformed ``worker``, ``count`` or ``wait``.
+MALFORMED_CLAIMS = [
+    {"worker": "w", "count": "x"},
+    {"count": 2},
+    {"worker": 7, "count": 1},
+    {"worker": "w"},
+    {"worker": "w", "count": 0},
+    {"worker": "w", "count": 1.0},
+    {"worker": "w", "count": True},
+    {"worker": "w", "count": MAX_CLAIM_COUNT + 1},
+    {"worker": "w", "count": 10 ** 6},
+    {"worker": "w", "count": 1, "wait": -1},
+    {"worker": "w", "count": 1, "wait": "soon"},
+    {"worker": "w", "count": 1, "wait": None},
+]
+
+#: A claim's finished-work field and a malformed value for it.
+MALFORMED_CLAIM_ACKS = [
+    ("completions", {"key": "a-held", "worker": "w"}),
+    ("completions", ["a-held"]),
+    ("completions", [{"key": "a-held"}]),
+    ("completions", [{"key": 3, "worker": "w"}]),
+    ("completions", [{"key": "a-held", "worker": None}]),
+    ("completions", None),
+    ("results", {"res": "{}"}),
+    ("results", [["res"]]),
+    ("results", [["res", "{}", "x"]]),
+    ("results", [["res", 1]]),
+    ("results", ["res"]),
+    ("results", None),
+]
+
+
 class TestBadRequests:
     def test_unknown_endpoint_404(self, service):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -726,20 +793,7 @@ class TestBadRequests:
                          body={"table": "nope; DROP TABLE", "keys": ["k"]})
         assert err.value.code == 400
 
-    @pytest.mark.parametrize("body", [
-        {"worker": "w", "count": "x"},
-        {"count": 2},
-        {"worker": 7, "count": 1},
-        {"worker": "w"},
-        {"worker": "w", "count": 0},
-        {"worker": "w", "count": 1.0},
-        {"worker": "w", "count": True},
-        {"worker": "w", "count": MAX_CLAIM_COUNT + 1},
-        {"worker": "w", "count": 10 ** 6},
-        {"worker": "w", "count": 1, "wait": -1},
-        {"worker": "w", "count": 1, "wait": "soon"},
-        {"worker": "w", "count": 1, "wait": None},
-    ])
+    @pytest.mark.parametrize("body", MALFORMED_CLAIMS)
     def test_malformed_claim_is_400_and_leases_nothing(self, service, body):
         service.queue.enqueue([("bad-claim", "sleep", {})])
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -748,20 +802,7 @@ class TestBadRequests:
         assert err.value.code == 400
         assert service.queue.counts()["queued"] == 1
 
-    @pytest.mark.parametrize("field, value", [
-        ("completions", {"key": "a-held", "worker": "w"}),
-        ("completions", ["a-held"]),
-        ("completions", [{"key": "a-held"}]),
-        ("completions", [{"key": 3, "worker": "w"}]),
-        ("completions", [{"key": "a-held", "worker": None}]),
-        ("completions", None),
-        ("results", {"res": "{}"}),
-        ("results", [["res"]]),
-        ("results", [["res", "{}", "x"]]),
-        ("results", [["res", 1]]),
-        ("results", ["res"]),
-        ("results", None),
-    ])
+    @pytest.mark.parametrize("field, value", MALFORMED_CLAIM_ACKS)
     def test_malformed_claim_acks_are_400_and_change_nothing(
             self, service, field, value):
         """A claim carrying malformed finished work is refused whole,
@@ -966,3 +1007,252 @@ def _stub_client(body: bytes, encoding: str = None):
     finally:
         server.shutdown()
         server.server_close()
+
+
+# ----------------------------------------------------------------------
+# The wire contract: every route of the table, malformed on purpose
+# ----------------------------------------------------------------------
+#: Any JSON value (NaN and huge integers included).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+_TEXT = st.text(max_size=6)
+
+#: Values each field kind accepts, by the kind's name.
+VALID_VALUES = {
+    "a string": _TEXT,
+    "an integer": st.integers(-(1 << 63), (1 << 63) - 1),
+    "a finite number": st.integers(0, 1000) | st.floats(0, 1e6),
+    "a non-negative number of seconds": st.just(0),
+    f"an integer from 1 to {MAX_CLAIM_COUNT}": st.integers(1, MAX_CLAIM_COUNT),
+    "a boolean": st.booleans(),
+    "an object": st.dictionaries(_TEXT, _TEXT, max_size=2),
+    protocol.TABLE.text: st.sampled_from(TABLES),
+    "a list of strings": st.lists(_TEXT, max_size=3),
+    protocol.PAIRS.text: st.lists(st.lists(_TEXT, min_size=2, max_size=2),
+                                  max_size=2),
+    protocol.TASKS.text: st.lists(st.tuples(
+        _TEXT, _TEXT, st.dictionaries(_TEXT, _TEXT, max_size=2)).map(list),
+        max_size=2),
+    protocol.ACKS.text: st.lists(st.fixed_dictionaries(
+        {"key": _TEXT, "worker": _TEXT}), max_size=2),
+}
+
+
+def _valid(kind):
+    base = kind.text.removesuffix(" or null")
+    values = VALID_VALUES[base]
+    return values | st.none() if base != kind.text else values
+
+
+@st.composite
+def _bad_field(draw, route):
+    """A body with exactly one bad field: wrong kind, null, missing or
+    unknown. Returns ``(body, field)``."""
+    body = {arg.name: draw(_valid(arg.kind)) for arg in route.args
+            if arg.default is protocol.REQUIRED or draw(st.booleans())}
+    required = [arg for arg in route.args if arg.default is protocol.REQUIRED]
+    non_null = [arg for arg in route.args if not arg.kind.test(None)]
+    defects = ["unknown"] + ["wrong"] * bool(route.args) \
+        + ["missing"] * bool(required) + ["null"] * bool(non_null)
+    defect = draw(st.sampled_from(defects))
+    if defect == "wrong":
+        arg = draw(st.sampled_from(route.args))
+        body[arg.name] = draw(JSON_VALUES.filter(
+            lambda value: not arg.kind.test(value)))
+        return body, arg.name
+    if defect == "missing":
+        arg = draw(st.sampled_from(required))
+        del body[arg.name]
+        return body, arg.name
+    if defect == "null":
+        arg = draw(st.sampled_from(non_null))
+        body[arg.name] = None
+        return body, arg.name
+    name = draw(st.text(min_size=1, max_size=6).filter(
+        lambda name: name not in body and name not in {
+            arg.name for arg in route.args}))
+    body[name] = draw(JSON_VALUES)
+    return body, name
+
+
+def _encode(body) -> bytes:
+    return json.dumps(body).encode()
+
+
+@st.composite
+def _malformed_request(draw, route):
+    """``(method, path, body, declared length or None, status, field)``
+    of one request to ``route`` that must be refused."""
+    other = "POST" if route.method == "GET" else "GET"
+    wrong_method = (other, route.path, b"", None, 404, None)
+    if route.method == "GET":
+        return wrong_method
+    shape = draw(st.sampled_from(
+        ["field", "field", "field", "non-object", "truncated", "oversized",
+         "wrong-method"]))
+    if shape == "field":
+        body, field = draw(_bad_field(route))
+        return ("POST", route.path, _encode(body), None, 400, field)
+    if shape == "non-object":
+        body = draw(JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
+        return ("POST", route.path, _encode(body), None, 400, None)
+    if shape == "truncated":
+        raw = _encode({arg.name: draw(_valid(arg.kind)) for arg in route.args})
+        cut = draw(st.integers(1, len(raw) - 1))
+        return ("POST", route.path, raw[:cut], None, 400, None)
+    if shape == "oversized":
+        return ("POST", route.path, b"", MAX_BODY + 1, 413, None)
+    return wrong_method
+
+
+@pytest.fixture(scope="module")
+def contract_service(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract") / "svc.sqlite"
+    svc = ExperimentService(path, token=TOKEN, port=0).start()
+    yield svc
+    svc.stop()
+    svc.close()
+
+
+def _exchange(url, method, path, body, declared):
+    """Send one raw request; returns ``(status, decoded error text)``."""
+    host, port = url[len("http://"):].rsplit(":", 1)
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.putrequest(method, f"{API_PREFIX}/{path}")
+        conn.putheader("Authorization", f"Bearer {TOKEN}")
+        conn.putheader(WIRE_HEADER, str(WIRE_VERSION))
+        conn.putheader("Content-Length",
+                       str(len(body) if declared is None else declared))
+        conn.endheaders(body or None)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read()).get("error", "")
+    finally:
+        conn.close()
+
+
+def _claim_examples(test):
+    """The TestBadRequests claim bodies, as explicit examples."""
+    cases = [("POST", "queue/claim", _encode(body), None, 400, None)
+             for body in MALFORMED_CLAIMS]
+    cases += [("POST", "queue/claim", _encode({"worker": "w", "count": 1,
+                                               field: value}),
+               None, 400, field) for field, value in MALFORMED_CLAIM_ACKS]
+    for case in cases:
+        test = example(case=case)(test)
+    return test
+
+
+#: The malformed bodies first probed against the unchecked routes:
+#: ``(path, body, the field the 400 must name)``.
+PROBES = [
+    ("queue/heartbeat", {}, "key"),
+    ("queue/release", {"key": "k"}, "worker"),
+    ("queue/fail", {"key": "k", "error": "x"}, "worker"),
+    ("workers/beat", {"tasks_done": 1}, "worker_id"),
+    ("queue/errors", {}, "key"),
+    ("store/delete", {"table": "sim_results"}, "key"),
+    ("queue/enqueue", {"tasks": 5}, "tasks"),
+    ("queue/enqueue", {"tasks": [["k", "sleep"]]}, "tasks"),
+    ("queue/states", {"keys": 7}, "keys"),
+    ("queue/cancel", {"keys": [["a"]]}, "keys"),
+    ("store/prune", {"table": "sim_results", "older_than": "x"}, "older_than"),
+    ("store/put-many", {"table": "sim_results", "items": [["k"]]}, "items"),
+    ("store/get-many", {"table": "sim_results", "keys": [{"k": 1}]}, "keys"),
+    ("store/get-many", {"table": "nope", "keys": ["k"]}, "table"),
+    ("queue/claim", {"worker": "w", "count": 1, "lease_seconds": "x"},
+     "lease_seconds"),
+    ("workers/register", {"worker_id": 3}, "worker_id"),
+    ("queue/enqueue", {"tasks": [], "submitted_by": 5}, "submitted_by"),
+]
+
+#: ``(transport, method, args, kwargs)`` of client calls the server refuses.
+MALFORMED_CALLS = [
+    ("queue", "enqueue", ([("k", "sleep")],), {}),
+    ("queue", "enqueue", (5,), {}),
+    ("queue", "enqueue", ([],), {"submitted_by": 5}),
+    ("queue", "heartbeat", (None, "w"), {}),
+    ("queue", "release", ("k", None), {}),
+    ("queue", "fail", ("k", None, "boom"), {}),
+    ("queue", "cancel", ([["a"]],), {}),
+    ("queue", "states", (7,), {}),
+    ("queue", "errors", (None,), {}),
+    ("queue", "register_worker", (3,), {}),
+    ("queue", "worker_beat", (None,), {}),
+    ("queue", "worker_beat", ("w",), {"keys": [1]}),
+    ("queue", "claim_many", ("w", 1), {"lease_seconds": "x"}),
+    ("queue", "complete_many", ([("k", 3)],), {}),
+    ("backend", "get_many", ("nope", ["k"]), {}),
+    ("backend", "get_many", ("sim_results", [{"a": 1}]), {}),
+    ("backend", "put_many", ("sim_results", [("k",)]), {}),
+    ("backend", "delete", ("sim_results", None), {}),
+    ("backend", "items", ("nope",), {}),
+    ("backend", "count", ("nope",), {}),
+    ("backend", "prune", ("sim_results", "x"), {}),
+]
+
+
+class TestWireContract:
+    """Every route of :data:`~repro.service.protocol.ROUTES` refuses a
+    malformed request with a 4xx, and the client does not retry it."""
+
+    @_claim_examples
+    @given(case=st.one_of([_malformed_request(route)
+                           for route in protocol.ROUTES.values()]))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_a_malformed_request_is_a_4xx(self, contract_service, case):
+        method, path, body, declared, status, field = case
+        got, error = _exchange(contract_service.url, method, path, body,
+                               declared)
+        assert got == status, (case, error)
+        if field is not None:
+            assert f"'{field}'" in error, (case, error)
+
+    @pytest.mark.parametrize("path, body, field", PROBES)
+    def test_a_probe_body_is_a_400_naming_the_field(self, contract_service,
+                                                    path, body, field):
+        queue = contract_service.queue
+        status, error = _exchange(contract_service.url, "POST", path,
+                                  _encode(body), None)
+        assert status == 400 and f"'{field}'" in error, error
+        assert queue.counts() == dict.fromkeys(queue.counts(), 0)
+
+    @pytest.mark.parametrize("transport, name, args, kwargs", MALFORMED_CALLS)
+    def test_a_malformed_call_fails_on_its_first_attempt(
+            self, contract_service, transport, name, args, kwargs):
+        url = contract_service.url
+        owner = (HttpQueue(url, token=TOKEN) if transport == "queue"
+                 else HttpBackend(url, token=TOKEN))
+        try:
+            with pytest.raises(ServiceError) as err:
+                getattr(owner, name)(*args, **kwargs)
+            assert err.value.status == 400
+            assert owner.client.telemetry()["wire_retries"] == 0
+        finally:
+            owner.close()
+
+    def test_the_default_budget_does_not_retry_a_400(self, contract_service):
+        client = ServiceClient(contract_service.url, token=TOKEN)
+        start = time.monotonic()
+        with pytest.raises(ServiceError) as err:
+            client.call("POST", "queue/heartbeat", {})
+        assert err.value.status == 400
+        assert client.telemetry()["wire_retries"] == 0
+        assert time.monotonic() - start < 5.0
+
+    def test_every_route_is_in_the_documented_wire_table(self):
+        """``docs/DISTRIBUTED.md``'s wire table has one row per route,
+        headed by its method and path, and no other rows."""
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "docs", "DISTRIBUTED.md")
+        with open(path) as fh:
+            text = fh.read()
+        section = text.split("### Wire protocol", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(GET|POST) ([a-z/-]+)` \|", section, re.M)
+        assert sorted(rows) == sorted(
+            (route.method, route.path) for route in protocol.ROUTES.values())
