@@ -14,10 +14,10 @@ import json
 import os
 import platform
 import re
-import subprocess
 import time
 
 from repro.bench.scenarios import BenchScenario, get_suite, sampled_config
+from repro.store.registry import git_describe
 
 #: Bump on any incompatible change to the report layout.
 SCHEMA_VERSION = 1
@@ -52,17 +52,6 @@ def _sanitize(label: str) -> str:
 def default_bench_path(root: str = ".") -> str:
     """``BENCH_<host>.json`` in ``root`` for the current host."""
     return os.path.join(root, f"BENCH_{host_fingerprint()['label']}.json")
-
-
-def _git_describe() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=10, check=False,
-        )
-        return out.stdout.strip() or None
-    except OSError:
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +329,7 @@ def run_suite(suite: str = "full", repeats: int = None, progress=None) -> dict:
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "suite": suite,
-        "git": _git_describe(),
+        "git": git_describe(),
         "scenarios": results,
         "totals": {
             "simulate_instructions": total_instr,

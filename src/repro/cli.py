@@ -146,12 +146,6 @@ def cmd_list_workloads(args) -> int:
     return 0
 
 
-def _open_store(args):
-    """The run's persistent store, or ``None`` without ``--store``."""
-    path = getattr(args, "store", None)
-    return open_store(path) if path else None
-
-
 def _check_executor(args) -> str:
     """Validate ``--executor`` against the other knobs; returns it.
 
@@ -174,35 +168,65 @@ def _check_executor(args) -> str:
     return executor
 
 
-def _resolve_resume(store, run_id: str, kind: str):
-    """Fetch and reopen the run record behind ``--resume RUN_ID``."""
-    if store is None:
-        raise SystemExit("--resume needs --store (the run lives in a store)")
-    try:
-        record = store.registry.get(run_id)
-    except KeyError:
-        raise SystemExit(f"unknown run id {run_id!r}; try 'store ls'") from None
-    if record.kind != kind:
-        raise SystemExit(f"run {run_id!r} is a {record.kind!r} run, not {kind}")
-    store.registry.reopen(record.run_id)
-    return record
+class _RunRecord:
+    """One CLI run's store and registry record, from open to close.
 
+    A context manager around the run's body; ``store`` is the run's
+    ``--store``, and without one it does nothing. :meth:`create` registers a new run, :meth:`resume` reopens
+    the one behind ``--resume RUN_ID``, and :meth:`complete` marks the
+    body's success with its engine's telemetry. However the body ends,
+    the record is finished with ``status`` and ``telemetry`` and the
+    store closed; ``status`` starts as the state a run that raises is
+    left in.
+    """
 
-def _register_run(store, kind: str, args, params: dict):
-    """Record a CLI run in the store's registry (no-op without a store)."""
-    if store is None:
-        return None
-    return store.registry.create(
-        kind, core=getattr(args, "core", None), params=params
-    )
+    def __init__(self, args, status: str) -> None:
+        path = getattr(args, "store", None)
+        self.store = open_store(path) if path else None
+        self.status = status
+        self.telemetry = None
+        self.record = None
 
+    def create(self, kind: str, announce: bool = False, **fields) -> None:
+        """Register a new ``kind`` run; ``announce`` prints its id."""
+        if self.store is None:
+            return
+        self.record = self.store.registry.create(kind, **fields)
+        if announce:
+            print(f"run id: {self.record.run_id}")
 
-def _finish_run(store, record, engine, status: str = "completed") -> None:
-    if store is None or record is None:
-        return
-    store.registry.finish(
-        record.run_id, status=status, telemetry=asdict(engine.telemetry)
-    )
+    def resume(self, run_id: str, kind: str):
+        """Fetch and reopen the ``kind`` run ``run_id``; returns its record."""
+        if self.store is None:
+            raise SystemExit("--resume needs --store (the run lives in a store)")
+        try:
+            record = self.store.registry.get(run_id)
+        except KeyError:
+            raise SystemExit(f"unknown run id {run_id!r}; try 'store ls'") from None
+        if record.kind != kind:
+            raise SystemExit(f"run {run_id!r} is a {record.kind!r} run, not {kind}")
+        self.store.registry.reopen(record.run_id)
+        self.record = record
+        return record
+
+    def complete(self, telemetry) -> None:
+        """The body succeeded; ``telemetry`` is its engine's."""
+        self.status, self.telemetry = "completed", telemetry
+
+    def __enter__(self) -> "_RunRecord":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.store is None:
+            return
+        try:
+            if self.record is not None:
+                self.store.registry.finish(
+                    self.record.run_id, status=self.status,
+                    telemetry=None if self.telemetry is None else asdict(self.telemetry),
+                )
+        finally:
+            self.store.close()
 
 
 def cmd_measure(args) -> int:
@@ -210,26 +234,18 @@ def cmd_measure(args) -> int:
     ``--store`` makes the measurement durable and shareable."""
     board = FireflyRK3399()
     wl = _lookup_workload(args.workload)
-    store = _open_store(args)
-    record = _register_run(store, "measure", args, {"workload": args.workload})
-    status = "failed"
-    try:
+    with _RunRecord(args, status="failed") as run:
+        run.create("measure", core=args.core, params={"workload": args.workload})
         with EvaluationEngine(hw=board.core(args.core), workloads=[wl],
-                              store=store) as engine:
+                              store=run.store) as engine:
             result = engine.measure_hw(args.workload)
             rows = [[name, value] for name, value in sorted(result.counters.items())]
             rows.append(["cpi", f"{result.cpi:.4f}"])
             print(render_table(["counter", "value"],
                                rows, title=f"{args.workload} on {result.core}"))
-            status = "completed"
-            _finish_run(store, record, engine, status=status)
-    finally:
-        if store is not None:
-            if status != "completed":
-                store.registry.finish(record.run_id, status=status)
-            else:
-                print(f"engine: {engine.telemetry.summary()}")
-            store.close()
+            run.complete(engine.telemetry)
+        if run.store is not None:
+            print(f"engine: {engine.telemetry.summary()}")
     return 0
 
 
@@ -241,13 +257,11 @@ def cmd_simulate(args) -> int:
     config = _apply_overrides(_public_config(args.core), overrides)
     wl = _lookup_workload(args.workload)
     executor = _check_executor(args)
-    store = _open_store(args)
-    record = _register_run(store, "simulate", args,
-                           {"workload": args.workload, "set": overrides})
-    status = "failed"
-    try:
+    with _RunRecord(args, status="failed") as run:
+        run.create("simulate", core=args.core,
+                   params={"workload": args.workload, "set": overrides})
         with EvaluationEngine(hw=board.core(args.core), workloads=[wl],
-                              executor=executor, store=store) as engine:
+                              executor=executor, store=run.store) as engine:
             stats = engine.simulate(config, args.workload)
             hw = engine.measure_hw(args.workload)
             rows = [
@@ -261,15 +275,9 @@ def cmd_simulate(args) -> int:
             print(render_table(["metric", "simulator", "hardware"], rows,
                                title=f"{args.workload} — {config.name}"))
             print(f"CPI error: {cpi_error(stats, hw):.1%}")
-            status = "completed"
-            _finish_run(store, record, engine, status=status)
-    finally:
-        if store is not None:
-            if status != "completed":
-                store.registry.finish(record.run_id, status=status)
-            else:
-                print(f"engine: {engine.telemetry.summary()}")
-            store.close()
+            run.complete(engine.telemetry)
+        if run.store is not None:
+            print(f"engine: {engine.telemetry.summary()}")
     return 0
 
 
@@ -285,42 +293,35 @@ def cmd_lmbench(args) -> int:
 def cmd_validate(args) -> int:
     board = FireflyRK3399()
     executor = _check_executor(args)
-    store = _open_store(args)
     core, profile, seed, stages = args.core, args.profile, args.seed, args.stages
-    resume, record = False, None
-    try:
+    resume = False
+    with _RunRecord(args, status="interrupted") as run:
         if args.resume:
-            record = _resolve_resume(store, args.resume, "validate")
+            record = run.resume(args.resume, "validate")
             # The record carries the run's identity; only --jobs may
             # differ (parallelism never changes results).
             core, profile, seed = record.core, record.profile, record.seed
             stages = record.params.get("stages", stages)
             resume = True
             print(f"resuming run {record.run_id} ({core}, {profile} profile)")
-        elif store is not None:
-            record = store.registry.create(
-                "validate", core=core, profile=profile, seed=seed,
+        else:
+            run.create(
+                "validate", announce=True, core=core, profile=profile, seed=seed,
                 params={"stages": stages, "jobs": args.jobs,
                         "race_mode": args.race_mode}, run_id=args.run_id,
             )
-            print(f"run id: {record.run_id}")
         campaign = ValidationCampaign(
             board, core=core, profile=profile, seed=seed, verbose=True,
-            jobs=args.jobs, executor=executor, store=store,
-            run_id=record.run_id if record else None,
+            jobs=args.jobs, executor=executor, store=run.store,
+            run_id=run.record.run_id if run.record else None,
             race_mode=args.race_mode, lookahead=args.lookahead,
         )
-        status = "interrupted"
+        run.telemetry = campaign.engine.telemetry
         try:
             result = campaign.run(stages=stages, resume=resume)
-            status = "completed"
         finally:
             campaign.close()
-            if store is not None:
-                store.registry.finish(
-                    record.run_id, status=status,
-                    telemetry=asdict(campaign.engine.telemetry),
-                )
+        run.complete(campaign.engine.telemetry)
         print(result.summary())
         print(f"engine: {campaign.engine.telemetry.summary()}")
         if args.out:
@@ -333,9 +334,6 @@ def cmd_validate(args) -> int:
             }
             save_result_json(args.out, payload)
             print(f"wrote {args.out}")
-    finally:
-        if store is not None:
-            store.close()
     return 0
 
 
@@ -343,49 +341,46 @@ def cmd_sweep(args) -> int:
     """Scenario exploration: cross-product of --set value lists."""
     board = FireflyRK3399()
     executor = _check_executor(args)
-    store = _open_store(args)
     core, scale, workload_arg = args.core, args.scale, args.workloads
-    record, resume = None, False
-    if args.resume:
-        record = _resolve_resume(store, args.resume, "sweep")
-        core = record.core
-        scale = record.params["scale"]
-        workload_arg = record.params["workloads"]
-        # The grid is recorded as ordered [key, values] pairs: canonical
-        # JSON sorts dict keys, and axis order defines trial order.
-        grid = dict(record.params["grid"])
-        resume = True
-        print(f"resuming run {record.run_id} ({core})")
-    else:
-        grid = _parse_sweep_sets(args.set)
-    base = _public_config(core)
-    keys = list(grid)
-    combos = [dict(zip(keys, values)) for values in itertools.product(*grid.values())]
-    if workload_arg:
-        names = [n.strip() for n in workload_arg.split(",") if n.strip()]
-        if not names:
-            raise SystemExit("--workloads names no workloads")
-        workloads = [_lookup_workload(n) for n in names]
-    else:
-        workloads = list(ALL_MICROBENCHMARKS)
-        names = [wl.name for wl in workloads]
+    resume = False
+    with _RunRecord(args, status="interrupted") as run:
+        if args.resume:
+            record = run.resume(args.resume, "sweep")
+            core = record.core
+            scale = record.params["scale"]
+            workload_arg = record.params["workloads"]
+            # The grid is recorded as ordered [key, values] pairs: canonical
+            # JSON sorts dict keys, and axis order defines trial order.
+            grid = dict(record.params["grid"])
+            resume = True
+            print(f"resuming run {record.run_id} ({core})")
+        else:
+            grid = _parse_sweep_sets(args.set)
+        base = _public_config(core)
+        keys = list(grid)
+        combos = [dict(zip(keys, values)) for values in itertools.product(*grid.values())]
+        if workload_arg:
+            names = [n.strip() for n in workload_arg.split(",") if n.strip()]
+            if not names:
+                raise SystemExit("--workloads names no workloads")
+            workloads = [_lookup_workload(n) for n in names]
+        else:
+            workloads = list(ALL_MICROBENCHMARKS)
+            names = [wl.name for wl in workloads]
 
-    configs = [_apply_overrides(base, combo) for combo in combos]
+        configs = [_apply_overrides(base, combo) for combo in combos]
 
-    if store is not None and not resume:
-        record = store.registry.create(
-            "sweep", core=core,
-            params={"grid": [[key, values] for key, values in grid.items()],
-                    "workloads": workload_arg, "scale": scale,
-                    "jobs": args.jobs},
-        )
-        print(f"run id: {record.run_id}")
+        if not resume:
+            run.create(
+                "sweep", announce=True, core=core,
+                params={"grid": [[key, values] for key, values in grid.items()],
+                        "workloads": workload_arg, "scale": scale,
+                        "jobs": args.jobs},
+            )
 
-    status, telemetry = "interrupted", None
-    try:
         with EvaluationEngine(
             hw=board.core(core), workloads=workloads,
-            scale=scale, jobs=args.jobs, executor=executor, store=store,
+            scale=scale, jobs=args.jobs, executor=executor, store=run.store,
         ) as engine:
             pairs = [(config, name) for config in configs for name in names]
             stats_list = engine.simulate_batch(pairs)
@@ -405,37 +400,27 @@ def cmd_sweep(args) -> int:
                                     "sim_cpi": stats.cpi, "hw_cpi": hw.cpi,
                                     "cpi_error": err})
                 combo_means.append(sum(errs) / len(errs))
-            telemetry = engine.telemetry
-            status = "completed"
-    finally:
-        if store is not None:
-            if record is not None:
-                store.registry.finish(record.run_id, status=status,
-                                      telemetry=asdict(telemetry) if telemetry else None)
-            if status != "completed":
-                store.close()
+            run.complete(engine.telemetry)
 
-    print(render_table([*keys, "workload", "sim CPI", "hw CPI", "CPI err"],
-                       rows, title=f"sweep — {base.name} on {core}"))
-    best = min(range(len(combos)), key=combo_means.__getitem__)
-    best_desc = ", ".join(f"{k}={combos[best][k]}" for k in keys)
-    print(f"{len(combos)} configurations x {len(names)} workloads "
-          f"= {len(pairs)} trials ({telemetry.unique_trials} unique simulations)")
-    print(f"best mean CPI error: {combo_means[best]:.1%} ({best_desc})")
-    if args.out:
-        payload = {
-            "core": core,
-            "base_config": base.name,
-            "grid": grid,
-            "workloads": names,
-            "scale": scale,
-            "trials": results,
-            "best": {"mean_cpi_error": combo_means[best], **combos[best]},
-        }
-        save_result_json(args.out, payload)
-        print(f"wrote {args.out}")
-    if store is not None:
-        store.close()
+        print(render_table([*keys, "workload", "sim CPI", "hw CPI", "CPI err"],
+                           rows, title=f"sweep — {base.name} on {core}"))
+        best = min(range(len(combos)), key=combo_means.__getitem__)
+        best_desc = ", ".join(f"{k}={combos[best][k]}" for k in keys)
+        print(f"{len(combos)} configurations x {len(names)} workloads "
+              f"= {len(pairs)} trials ({engine.telemetry.unique_trials} unique simulations)")
+        print(f"best mean CPI error: {combo_means[best]:.1%} ({best_desc})")
+        if args.out:
+            payload = {
+                "core": core,
+                "base_config": base.name,
+                "grid": grid,
+                "workloads": names,
+                "scale": scale,
+                "trials": results,
+                "best": {"mean_cpi_error": combo_means[best], **combos[best]},
+            }
+            save_result_json(args.out, payload)
+            print(f"wrote {args.out}")
     return 0
 
 

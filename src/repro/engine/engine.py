@@ -369,8 +369,7 @@ class EvaluationEngine:
                 for ci, key in enumerate(keys):
                     ticket.slot_of[key] = (gi, ci)
                     ticket.key_at[(gi, ci)] = key
-            ticket.handle = self._executor.submit(
-                exec_groups, self.decoder, self.traces.items())
+            ticket.handle = self._executor.submit(exec_groups, self.decoder)
         return ticket
 
     def _poll(self, ticket: "BatchTicket") -> dict:

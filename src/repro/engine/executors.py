@@ -19,7 +19,7 @@ on that to make ``jobs``/``executor`` pure throughput knobs.
 
 Every executor speaks one protocol, and the engine drives only it:
 
-- ``submit(groups, decoder, registry_items) -> handle`` starts a batch;
+- ``submit(groups, decoder) -> handle`` starts a batch;
 - ``poll(handle) -> {(group_idx, config_idx): stats}`` returns slots
   completed since the previous poll and never sleeps;
 - ``cancel(handle, slots)`` withdraws not-yet-delivered slots
@@ -40,39 +40,42 @@ by :class:`~repro.pacing.Pacer` from its ``poll_interval`` up to its
 enqueue per submit + streaming state polls, with queue-level ``cancel``
 retracting unclaimed speculation.
 
-On fork-capable platforms the process executor avoids re-pickling traces
-on every task: whenever the trace registry has grown it refreshes its
-pool, first snapshotting the registry into a module global that the
-forked workers inherit copy-on-write; tasks then carry only the trace
-key. The engine records a batch's traces while grouping it — before the
-executor runs — so steady-state batches (the tuning loop) reuse one
-pool and send keys only. On spawn platforms the snapshot never reaches
-the workers, so the pool is created once and traces ship inline.
+A trace leaves its process in one form: the columnar blob
+(:meth:`~repro.trace.columnar.ColumnarTrace.to_blob`). Fabric workers
+attach it from the host's trace cache; the process executor ships it
+inside every pool task, and each pool worker attaches a given (trace,
+decoder library) once and keeps it for the life of the pool.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-from repro.isa.decoder import decoder_library
+from repro.isa.decoder import check_decoder_portable, decoder_library
 from repro.pacing import Pacer
 from repro.simulator.simulator import simulate_batch
+from repro.trace.columnar import ColumnarTrace
 
-#: Per-executor trace snapshots inherited by forked workers.
-_TRACE_SNAPSHOTS: dict = {}
-
-_executor_ids = itertools.count(1)
+#: A pool worker's attached traces by (trace key, decoder library),
+#: kept for the life of the worker.
+_ATTACHED: dict = {}
 
 
 def _simulate_chunk(payload):
-    """Worker entry point: simulate one chunk of configs on one trace."""
-    configs, snapshot_token, key, trace, decoder_cls = payload
+    """Worker entry point: simulate one chunk of configs on one trace.
+
+    The chunk carries its trace as a columnar blob; only the first chunk
+    of each (trace, decoder library) a worker sees attaches it.
+    """
+    configs, key, blob, decoder_cls = payload
+    decoder = decoder_cls()
+    memo = (key, decoder_library(decoder))
+    trace = _ATTACHED.get(memo)
     if trace is None:
-        trace = _TRACE_SNAPSHOTS[snapshot_token][key]
-    return simulate_batch(trace, list(configs), decoder=decoder_cls())
+        trace = _ATTACHED[memo] = ColumnarTrace.from_blob(blob)
+    return simulate_batch(trace, list(configs), decoder=decoder)
 
 
 def drain(executor, poll, done):
@@ -98,7 +101,7 @@ def drain(executor, poll, done):
         time.sleep(pacer.nap())
 
 
-def _run_groups(executor, groups, decoder, registry_items=None) -> list:
+def _run_groups(executor, groups, decoder) -> list:
     """Submit ``groups`` and drain them; returns per-group stats lists.
 
     A convenience over the protocol, exposed as every executor's
@@ -106,7 +109,7 @@ def _run_groups(executor, groups, decoder, registry_items=None) -> list:
     because ``campaignbench/layers.py`` traces ``<executor>.run``.
     """
     groups = [(list(configs), key, trace) for configs, key, trace in groups]
-    handle = executor.submit(groups, decoder, registry_items)
+    handle = executor.submit(groups, decoder)
     results: dict = {}
     expected = sum(len(configs) for configs, _key, _trace in groups)
     for got in drain(executor, lambda: executor.poll(handle),
@@ -135,7 +138,7 @@ class SerialExecutor:
 
     run = _run_groups
 
-    def submit(self, groups, decoder, registry_items=None):
+    def submit(self, groups, decoder):
         """Start a batch; work happens lazily, one group per poll."""
         return _SerialHandle(groups=[(list(configs), key, trace)
                                      for configs, key, trace in groups],
@@ -182,7 +185,15 @@ class _SerialHandle:
 
 
 class ProcessExecutor:
-    """Parallel execution over a process pool (the ``jobs>1`` path)."""
+    """Parallel execution over a process pool (the ``jobs>1`` path).
+
+    The pool starts at the first submit and lives until :meth:`close`.
+    Tasks carry their trace as a columnar blob, so workers need no
+    state from the parent and start the same way under fork or spawn.
+    Fork is still used where the platform has it: forked workers
+    inherit whatever the parent has patched in, such as a profiler's
+    wrappers.
+    """
 
     name = "process"
     persists = False
@@ -192,34 +203,6 @@ class ProcessExecutor:
             raise ValueError("ProcessExecutor needs jobs >= 2; use SerialExecutor")
         self.jobs = jobs
         self._pool = None
-        self._token = next(_executor_ids)
-        self._snapshot_keys: frozenset = frozenset()
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-            self._fork = True
-        except ValueError:
-            self._ctx = multiprocessing.get_context()
-            self._fork = False
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self, registry_items) -> None:
-        """(Re)create the pool when new traces appeared since the snapshot.
-
-        The snapshot global must be updated *before* the pool exists:
-        workers fork lazily at first submit and inherit whatever the
-        module global holds at that moment.
-        """
-        if self._pool is not None:
-            if not self._fork:
-                return  # workers never see the snapshot; nothing to refresh
-            if frozenset(dict(registry_items or [])) == self._snapshot_keys:
-                return
-        registry = dict(registry_items or [])
-        self.close()
-        if self._fork:
-            _TRACE_SNAPSHOTS[self._token] = registry
-        self._snapshot_keys = frozenset(registry)
-        self._pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=self._ctx)
 
     def pass_sizes(self, n: int) -> list:
         """Configs per shared pass for an ``n``-config group.
@@ -231,47 +214,32 @@ class ProcessExecutor:
         base, extra = divmod(n, chunks)
         return [base + (1 if i < extra else 0) for i in range(chunks)]
 
-    def _check_reconstructible(self, decoder) -> type:
-        """Validate the decoder survives the worker round-trip.
-
-        Workers rebuild the decoder as ``decoder_cls()``; prove
-        parent-side that this reproduces the same library, so a
-        stateful/parameterised decoder fails loudly here instead of
-        silently diverging from the serial path.
-        """
-        decoder_cls = type(decoder)
-        try:
-            reconstructible = decoder_library(decoder_cls()) == decoder_library(decoder)
-        except TypeError:
-            reconstructible = False
-        if not reconstructible:
-            raise ValueError(
-                f"{decoder_cls.__name__} is not reconstructible as "
-                f"{decoder_cls.__name__}(); the process executor needs "
-                "stateless per-class decoders — use jobs=1"
-            )
-        return decoder_cls
-
     run = _run_groups
 
-    def submit(self, groups, decoder, registry_items=None) -> list:
+    def submit(self, groups, decoder) -> list:
         """Fan chunks over the pool; results stream back via :meth:`poll`.
 
-        The handle is a list of ``[future, gi, [ci...], done]`` entries.
+        Every chunk of a group carries the group's trace key and its
+        columnar blob for ``decoder``. The handle is a list of
+        ``[future, gi, [ci...], done]`` entries.
         """
-        self._ensure_pool(registry_items)
-        decoder_cls = self._check_reconstructible(decoder)
+        check_decoder_portable(decoder)
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=multiprocessing.get_context(
+                    "fork" if "fork" in multiprocessing.get_all_start_methods()
+                    else None))
         entries = []
         for gi, (configs, key, trace) in enumerate(groups):
             configs = list(configs)
-            in_snapshot = self._fork and key in self._snapshot_keys
-            ship = None if in_snapshot else trace
+            blob = trace.columns_with(decoder).to_blob()
             start = 0
             for size in self.pass_sizes(len(configs)):
                 chunk = configs[start:start + size]
                 slots = list(range(start, start + size))
                 start += size
-                payload = (chunk, self._token, key, ship, decoder_cls)
+                payload = (chunk, key, blob, type(decoder))
                 entries.append([self._pool.submit(_simulate_chunk, payload),
                                 gi, slots, False])
         return entries
@@ -313,12 +281,10 @@ class ProcessExecutor:
                     entry[3] = True
 
     def close(self) -> None:
-        """Shut the pool down and release the trace snapshot."""
+        """Shut the pool down; a later submit starts a new one."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        # Unpin the snapshot traces; _ensure_pool re-registers on reuse.
-        _TRACE_SNAPSHOTS.pop(self._token, None)
 
     def __del__(self):  # best-effort; engines call close() explicitly
         try:
@@ -401,10 +367,9 @@ class FabricExecutor:
 
     run = _run_groups
 
-    def submit(self, groups, decoder, registry_items=None):
+    def submit(self, groups, decoder):
         """Plan a batch and enqueue every planned key in one queue call."""
         from repro.fabric.scheduler import plan_groups
-        from repro.fabric.tasks import check_decoder_portable
 
         check_decoder_portable(decoder)
         groups = [(list(configs), tkey, trace) for configs, tkey, trace in groups]

@@ -96,10 +96,6 @@ class TraceStore:
         self.builds += 1
         return trace
 
-    def items(self):
-        """``(trace_key, trace)`` pairs for every memoised recording."""
-        return self._traces.items()
-
     # ------------------------------------------------------------------
     # Columnar blob cache
     # ------------------------------------------------------------------

@@ -41,12 +41,12 @@ from repro.fabric.status import status_snapshot
 from repro.fabric.tasks import (
     KIND_SIMULATE,
     KIND_SLEEP,
-    check_decoder_portable,
     rebuild_config,
     resolve_decoder,
     sim_task,
 )
 from repro.fabric.worker import FabricWorker, WorkerStats
+from repro.isa.decoder import check_decoder_portable
 
 __all__ = [
     "DEFAULT_LEASE",

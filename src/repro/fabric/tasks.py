@@ -12,8 +12,8 @@ submitting process. For a simulation task that is:
   worker re-records the trace rather than shipping it);
 - the trace scale and per-workload overrides;
 - the decoder library as an importable ``module:qualname`` spec
-  (decoders must be stateless per class, the same contract the process
-  executor enforces).
+  (decoders must be stateless per class; see
+  :func:`~repro.isa.decoder.check_decoder_portable`).
 
 The task **key** is the engine's own
 :func:`~repro.engine.keys.sim_key` rendered to text — the same address
@@ -38,7 +38,7 @@ from repro.core.config import (
     cortex_a72_public_config,
 )
 from repro.engine.keys import sim_key
-from repro.isa.decoder import Decoder, decoder_library
+from repro.isa.decoder import Decoder
 from repro.store.serialize import encode_key
 
 #: Simulation task: run one (config, workload) pair, write the stats.
@@ -65,27 +65,6 @@ def resolve_decoder(spec: str) -> Decoder:
     if not (isinstance(obj, type) and issubclass(obj, Decoder)):
         raise TypeError(f"decoder spec {spec!r} does not name a Decoder class")
     return obj()
-
-
-def check_decoder_portable(decoder) -> None:
-    """Fail loudly when a decoder cannot cross a process boundary.
-
-    Workers rebuild the decoder as ``decoder_cls()``; a stateful or
-    parameterised decoder would silently diverge from the submitting
-    process, so — exactly like the process executor — we prove
-    parent-side that reconstruction yields the same library.
-    """
-    cls = type(decoder)
-    try:
-        reconstructible = decoder_library(cls()) == decoder_library(decoder)
-    except TypeError:
-        reconstructible = False
-    if not reconstructible:
-        raise ValueError(
-            f"{cls.__name__} is not reconstructible as {cls.__name__}(); "
-            "the fabric needs stateless per-class decoders — use a local "
-            "executor instead"
-        )
 
 
 def sim_task(config: SimConfig, workload: str, scale: float,

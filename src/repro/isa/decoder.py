@@ -39,6 +39,27 @@ def decoder_library(decoder) -> tuple:
     return (cls.__module__, cls.__qualname__, getattr(decoder, "name", cls.__name__))
 
 
+def check_decoder_portable(decoder) -> None:
+    """Fail loudly when a decoder cannot cross a process boundary.
+
+    Pool and fabric workers rebuild the decoder as ``type(decoder)()``.
+    A stateful or parameterised decoder would silently diverge from the
+    submitting process, so prove here that rebuilding it yields the
+    same library.
+    """
+    cls = type(decoder)
+    try:
+        portable = decoder_library(cls()) == decoder_library(decoder)
+    except TypeError:
+        portable = False
+    if not portable:
+        raise ValueError(
+            f"{cls.__name__} is not reconstructible as {cls.__name__}(); "
+            "work that leaves this process needs stateless per-class "
+            "decoders — use the serial executor (jobs=1)"
+        )
+
+
 class Decoder:
     """Decodes 32-bit words into interned :class:`DecodedInst` objects."""
 

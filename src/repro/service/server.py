@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hmac
 import json
+import socket
 import threading
 import time
 import zlib
@@ -420,7 +421,16 @@ class ExperimentService:
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        """Stop accepting requests (idempotent)."""
+        """Stop accepting requests (idempotent).
+
+        ``serve_forever`` notices a shutdown only when its 0.5 s select
+        returns; shutting the listening socket down first wakes it at
+        once. Where the platform refuses that, stop waits out the poll.
+        """
+        try:
+            self._httpd.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._httpd.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
