@@ -60,7 +60,7 @@ def fabric_run(board, store_path):
     store = open_store(store_path)
     campaign = ValidationCampaign(
         board, core="a53", profile=PROFILE, seed=3, workloads=WORKLOADS,
-        engine=None, store=store, executor="fabric",
+        store=store, executor="fabric",
     )
     try:
         result = campaign.run(stages=1)

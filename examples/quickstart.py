@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Quickstart: simulate a micro-benchmark and compare against "hardware".
 
-Records a SIFT trace of one Table-I kernel, measures it on the board's
+Records a trace of one Table-I kernel, measures it on the board's
 Cortex-A53 cluster, runs the public-information simulator model on the
 same trace, and prints both sides — the basic loop everything else in
 this repository is built from.

@@ -74,7 +74,7 @@ def fleet_run(board, store_path):
     store = open_store(service.url, token=TOKEN)
     campaign = ValidationCampaign(
         board, core="a53", profile=PROFILE, seed=3, workloads=WORKLOADS,
-        engine=None, store=store, executor="fabric",
+        store=store, executor="fabric",
     )
     try:
         result = campaign.run(stages=1)

@@ -7,8 +7,9 @@ The package implements the paper's entire experimental apparatus:
   (Cortex-A53-like) and out-of-order (Cortex-A72-like) core models
   (:mod:`repro.core`, :mod:`repro.memory`, :mod:`repro.branch`,
   :mod:`repro.simulator`);
-- a synthetic AArch64-like ISA, decoder library and SIFT-like trace
-  format (:mod:`repro.isa`, :mod:`repro.trace`, :mod:`repro.frontend`);
+- a synthetic AArch64-like ISA, decoder library, trace recorder and
+  the columnar trace blob that stands in for SIFT (:mod:`repro.isa`,
+  :mod:`repro.frontend`, :mod:`repro.trace`);
 - a simulated "real hardware" board with hidden ground-truth
   configurations and perf-counter measurement (:mod:`repro.hardware`);
 - the 40-kernel targeted micro-benchmark suite and SPEC CPU2017 proxy

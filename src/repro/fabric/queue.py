@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from repro.fabric.api import TaskQueue
 from repro.pacing import Pacer
-from repro.store.backend import BUSY_TIMEOUT, connect_sqlite, in_chunks, retry_busy
+from repro.store.backend import connect_sqlite, in_chunks, retry_busy
 
 #: Bump when the fabric tables' layout changes incompatibly.
 FABRIC_SCHEMA_VERSION = 1
@@ -105,7 +105,6 @@ class JobQueue(TaskQueue):
         path: str,
         lease_seconds: float = DEFAULT_LEASE,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        busy_timeout: float = BUSY_TIMEOUT,
     ) -> None:
         self.path = os.fspath(path)
         self.lease_seconds = float(lease_seconds)
@@ -120,7 +119,7 @@ class JobQueue(TaskQueue):
         # worker id -> (keys, lease) of its latest nonempty claim,
         # renewed by worker_beat (see the module docs' heartbeat).
         self._latest_claim: dict = {}
-        self._conn = connect_sqlite(self.path, busy_timeout=busy_timeout)
+        self._conn = connect_sqlite(self.path)
         self._init_schema()
 
     # ------------------------------------------------------------------

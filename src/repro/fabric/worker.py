@@ -80,8 +80,9 @@ class _WriteBehindStore(ResultStore):
     implies result readable`` ordering the executors rely on is
     preserved while a batch of tasks shares one write. Over HTTP the
     rows commit only when the server handles the request, during the
-    next kernel; reads check the buffer and the open exchange's rows
-    first, so a result not yet committed is never recomputed.
+    next kernel. Reads never need the buffer: the engine memoises every
+    result before it is buffered and asks the store only for keys its
+    memo lacks.
     """
 
     def __init__(self, inner: ResultStore, worker: "FabricWorker") -> None:
@@ -95,16 +96,12 @@ class _WriteBehindStore(ResultStore):
         return self.get_sims([key])[key]
 
     def get_sims(self, keys) -> dict:
-        """Answer from the write-behind buffer, then the claim-time
-        precheck; only keys neither holds reach the backend (one
-        ``get_many``, skipped when there are none)."""
+        """Answer from the claim-time precheck; only keys it does not
+        hold reach the backend (one ``get_many``, skipped when there are
+        none)."""
         out: dict = {}
         ask = []
         for key in keys:
-            hit = self._worker._buffered_result(key)
-            if hit is not None:
-                out[key] = hit
-                continue
             found, row = self._worker._take_precheck(encode_key(key))
             if found:
                 # The claim already asked the store; a ``None`` row
@@ -329,14 +326,6 @@ class FabricWorker:
         items = list(items)
         self._results.extend(items)
         return len(items)
-
-    def _buffered_result(self, key):
-        """A result still buffered, or sent in the open exchange."""
-        sent = self._sent[2] if self._sent is not None else ()
-        for buffered_key, stats in (*self._results, *sent):
-            if buffered_key == key:
-                return stats
-        return None
 
     def _take_precheck(self, encoded_key: str) -> tuple:
         """``(found, raw_row)`` from the claim-time store precheck."""

@@ -142,10 +142,11 @@ class ServiceClient:
         Per-request socket timeout, seconds.
     max_retries:
         Transient-failure budget per request (0 = fail on first error).
-    backoff / max_backoff:
-        Exponential backoff base and ceiling, seconds. Actual sleeps
-        are jittered (×0.5..1.5) so a restarted fleet does not stampede
-        the server in lockstep; a 429's ``Retry-After`` is a floor.
+    backoff:
+        Exponential backoff base, seconds, capped at
+        :data:`DEFAULT_MAX_BACKOFF`. Actual sleeps are jittered
+        (×0.5..1.5) so a restarted fleet does not stampede the server
+        in lockstep; a 429's ``Retry-After`` is a floor.
     """
 
     def __init__(
@@ -155,7 +156,6 @@ class ServiceClient:
         timeout: float = DEFAULT_TIMEOUT,
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff: float = DEFAULT_BACKOFF,
-        max_backoff: float = DEFAULT_MAX_BACKOFF,
     ) -> None:
         base = url.rstrip("/")
         if base.endswith(API_PREFIX):
@@ -165,7 +165,6 @@ class ServiceClient:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self.max_backoff = max_backoff
         self._rng = random.Random()
         self._handshaken = False
         parts = urlsplit(base)
@@ -414,7 +413,7 @@ class ServiceClient:
             attempt += 1
 
     def _sleep_for(self, attempt: int) -> float:
-        base = min(self.backoff * (2 ** attempt), self.max_backoff)
+        base = min(self.backoff * (2 ** attempt), DEFAULT_MAX_BACKOFF)
         return base * self._rng.uniform(0.5, 1.5)
 
     def close(self) -> None:

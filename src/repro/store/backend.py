@@ -96,16 +96,16 @@ def in_chunks(keys):
         yield chunk, ",".join("?" * len(chunk))
 
 
-def connect_sqlite(path: str, busy_timeout: float = BUSY_TIMEOUT) -> sqlite3.Connection:
+def connect_sqlite(path: str) -> sqlite3.Connection:
     """Open ``path`` the way every writer in this project must: WAL mode,
     ``NORMAL`` synchronous, an explicit busy timeout, autocommit
     (``isolation_level=None``) so transactions are always explicit."""
     conn = sqlite3.connect(
-        path, timeout=busy_timeout, check_same_thread=False, isolation_level=None
+        path, timeout=BUSY_TIMEOUT, check_same_thread=False, isolation_level=None
     )
     conn.execute("PRAGMA journal_mode=WAL")
     conn.execute("PRAGMA synchronous=NORMAL")
-    conn.execute(f"PRAGMA busy_timeout={int(busy_timeout * 1000)}")
+    conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT * 1000)}")
     return conn
 
 
@@ -181,13 +181,12 @@ class SqliteBackend:
     #: Local files need no credentials (see ``HttpBackend.token``).
     token = None
 
-    def __init__(self, path: str, busy_timeout: float = BUSY_TIMEOUT) -> None:
+    def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         self._lock = threading.Lock()
-        self.busy_timeout = busy_timeout
-        self._conn = connect_sqlite(self.path, busy_timeout=busy_timeout)
+        self._conn = connect_sqlite(self.path)
         self._init_schema()
 
     def _init_schema(self) -> None:

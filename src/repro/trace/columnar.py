@@ -55,6 +55,7 @@ COLUMN_FIELDS = (
 
 _HEADER = struct.Struct("<4sHHQ")  # magic, version, n_fields, length
 _FIELD_HEADER = struct.Struct("<16scxQ")  # name, typecode, byte length
+_U32 = struct.Struct("<I")  # name and library block lengths
 
 
 class ColumnarTrace:
@@ -151,10 +152,10 @@ class ColumnarTrace:
         """
         parts = [_HEADER.pack(BLOB_MAGIC, BLOB_VERSION, len(COLUMN_FIELDS), self.length)]
         name_bytes = self.name.encode("utf-8")
-        parts.append(struct.pack("<I", len(name_bytes)))
+        parts.append(_U32.pack(len(name_bytes)))
         parts.append(name_bytes)
         lib_bytes = "\n".join(str(part) for part in self.library).encode("utf-8")
-        parts.append(struct.pack("<I", len(lib_bytes)))
+        parts.append(_U32.pack(len(lib_bytes)))
         parts.append(lib_bytes)
         payloads = []
         for fname, code in COLUMN_FIELDS:
@@ -184,9 +185,26 @@ class ColumnarTrace:
         every worker on the host instead of duplicating the trace per
         process. On big-endian hosts the columns are copied and
         byte-swapped instead (blobs are canonically little-endian).
+
+        The structure is checked, not trusted: every column must hold
+        exactly the header's instruction count, and the blob must end
+        where the last column does. A short, long or otherwise
+        malformed buffer raises :class:`ValueError`. The column bytes
+        themselves are not checked.
         """
         view = memoryview(buffer)
-        magic, version, n_fields, length = _HEADER.unpack_from(view, 0)
+        offset = 0
+
+        def take(n: int) -> memoryview:
+            # The next n bytes; a buffer that ends first is malformed.
+            nonlocal offset
+            if offset + n > len(view):
+                raise ValueError(f"columnar blob truncated: {len(view)} bytes, "
+                                 f"needs at least {offset + n}")
+            offset += n
+            return view[offset - n:offset]
+
+        magic, version, n_fields, length = _HEADER.unpack(take(_HEADER.size))
         if magic != BLOB_MAGIC:
             raise ValueError("not a columnar trace blob (bad magic)")
         if version != BLOB_VERSION:
@@ -194,26 +212,26 @@ class ColumnarTrace:
                 f"columnar blob version {version} unsupported "
                 f"(this build reads version {BLOB_VERSION})"
             )
-        offset = _HEADER.size
-        (name_len,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        name = bytes(view[offset:offset + name_len]).decode("utf-8")
-        offset += name_len
-        (lib_len,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        library = tuple(bytes(view[offset:offset + lib_len]).decode("utf-8").split("\n"))
-        offset += lib_len
+        (name_len,) = _U32.unpack(take(4))
+        name = bytes(take(name_len)).decode("utf-8")
+        (lib_len,) = _U32.unpack(take(4))
+        library = tuple(bytes(take(lib_len)).decode("utf-8").split("\n"))
         fields = []
         for _ in range(n_fields):
-            raw_name, code, payload_len = _FIELD_HEADER.unpack_from(view, offset)
-            offset += _FIELD_HEADER.size
+            raw_name, code, payload_len = _FIELD_HEADER.unpack(take(_FIELD_HEADER.size))
             fields.append((raw_name.rstrip(b"\0").decode("ascii"),
                            code.decode("ascii"), payload_len))
+        got = [(fname, code) for fname, code, _len in fields]
+        if got != list(COLUMN_FIELDS):
+            raise ValueError(f"columnar blob fields {got} != expected {list(COLUMN_FIELDS)}")
         little_endian = struct.pack("=H", 1) == struct.pack("<H", 1)
         columns: dict = {}
         for fname, code, payload_len in fields:
-            payload = view[offset:offset + payload_len]
-            offset += payload_len
+            expected = length * struct.calcsize(code)
+            if payload_len != expected:
+                raise ValueError(f"columnar blob column {fname!r} holds {payload_len} "
+                                 f"bytes, not {expected}")
+            payload = take(payload_len)
             if little_endian:
                 columns[fname] = payload.cast(code)
             else:
@@ -221,15 +239,9 @@ class ColumnarTrace:
                 col.frombytes(bytes(payload))
                 col.byteswap()
                 columns[fname] = col
-        expected = {fname: code for fname, code in COLUMN_FIELDS}
-        got = {fname: code for fname, code, _len in fields}
-        if got != expected:
-            raise ValueError(f"columnar blob field set {got} != expected {expected}")
+        if offset != len(view):
+            raise ValueError(f"columnar blob has {len(view) - offset} trailing bytes")
         return cls(name, library, length, columns, buffer=buffer)
-
-    def __reduce__(self):
-        """Pickle as the self-contained blob (mmap views don't pickle)."""
-        return (ColumnarTrace.from_blob, (self.to_blob(),))
 
     # ------------------------------------------------------------------
     # Trace-like surface

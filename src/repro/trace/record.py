@@ -105,21 +105,6 @@ class Trace:
     def __getitem__(self, idx):
         return self.records[idx]
 
-    def __getstate__(self) -> dict:
-        # Decoded lists and columnar forms (with their memoised issue
-        # streams) are bulky and cheap to rebuild; ship the trace
-        # without them to keep pickles small.
-        state = self.__dict__.copy()
-        state["_decoded_cache"] = {}
-        state["_columnar_cache"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Traces pickled by older builds predate the columnar cache;
-        # restore it so unpickled traces keep the full cache surface.
-        state.setdefault("_columnar_cache", {})
-        self.__dict__.update(state)
-
     def decoded_with(self, decoder: Decoder) -> list:
         """Return per-record :class:`DecodedInst` list for ``decoder``."""
         key = decoder_library(decoder)

@@ -183,7 +183,6 @@ class ValidationCampaign:
         workloads: list = None,
         jobs: int = 1,
         executor: str = None,
-        engine: EvaluationEngine = None,
         store=None,
         run_id: str = None,
         race_mode: str = "sync",
@@ -209,49 +208,15 @@ class ValidationCampaign:
         #: Every trial — simulator run or hardware measurement — executes
         #: through the shared engine: one trace store, one
         #: content-addressed result cache, ``jobs``-way parallelism.
-        if engine is not None:
-            # A supplied engine brings its own executor and scale; don't
-            # let conflicting knobs get silently ignored.
-            if jobs != 1:
-                raise ValueError("pass jobs via the engine when supplying one")
-            if executor is not None:
-                raise ValueError("pass executor via the engine when supplying one")
-            if engine.hw is not self.hw:
-                raise ValueError(
-                    "supplied engine measures a different hardware core "
-                    f"than {core!r}; build it with hw=board.core({core!r})"
-                )
-            missing = [wl.name for wl in self.workloads if wl.name not in engine.traces]
-            if missing:
-                raise ValueError(
-                    f"supplied engine cannot run campaign workloads: {missing}"
-                )
-            if engine.scale != self.profile.microbench_scale:
-                raise ValueError(
-                    f"engine scale {engine.scale} conflicts with profile "
-                    f"microbench_scale {self.profile.microbench_scale}"
-                )
-            if engine.overrides:
-                raise ValueError(
-                    "supplied engine carries per-workload overrides "
-                    f"{sorted(engine.overrides)}; pass a clean engine — the "
-                    "campaign's step-5 fixes must start from none"
-                )
-            if decoder is not None:
-                engine.decoder = decoder
-            if store is not None and engine.store is None:
-                engine.store = store
-            self.engine = engine
-        else:
-            self.engine = EvaluationEngine(
-                hw=self.hw,
-                workloads=self.workloads,
-                scale=self.profile.microbench_scale,
-                decoder=decoder,
-                jobs=jobs,
-                executor=executor,
-                store=store,
-            )
+        self.engine = EvaluationEngine(
+            hw=self.hw,
+            workloads=self.workloads,
+            scale=self.profile.microbench_scale,
+            decoder=decoder,
+            jobs=jobs,
+            executor=executor,
+            store=store,
+        )
         self.store = self.engine.store
     # ------------------------------------------------------------------
     # Infrastructure

@@ -5,15 +5,13 @@ stream; these tests pin its contract: results are *bit-identical* to
 K independent ``simulate`` calls (and therefore to the pre-optimisation
 golden stats), for both cores, both decoder libraries, K=1, mixed
 batches and the hardware-effects path. The columnar blob round-trips
-losslessly and traces pickle without dragging their columnar caches
-along.
+losslessly, and a malformed blob is refused, never attached.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 from dataclasses import asdict
 
 import pytest
@@ -23,7 +21,8 @@ from repro.hardware import HardwareEffects
 from repro.hardware.groundtruth import cortex_a53_effects, cortex_a53_ground_truth
 from repro.isa.decoder import BuggyDecoder, Decoder
 from repro.simulator import simulate, simulate_batch
-from repro.trace.columnar import BLOB_VERSION, ColumnarTrace
+from repro.trace.columnar import _HEADER, BLOB_VERSION, ColumnarTrace
+from repro.trace.record import Trace
 from repro.workloads.microbench import MICROBENCHMARKS
 from repro.workloads.spec import SPEC_WORKLOADS
 
@@ -44,6 +43,12 @@ def _config(core):
 
 
 GOLDEN = _golden()
+
+
+def _length_plus_five(blob):
+    """``blob`` with its header's instruction count raised by five."""
+    magic, version, n_fields, length = _HEADER.unpack_from(blob, 0)
+    return _HEADER.pack(magic, version, n_fields, length + 5) + blob[_HEADER.size:]
 
 
 class TestBatchBitIdentity:
@@ -160,34 +165,31 @@ class TestColumnarBlob:
         with pytest.raises(ValueError, match="re-record"):
             cols.columns_with(BuggyDecoder())
 
-    def test_columnar_trace_pickles_via_blob(self):
-        cols = _workload("ED1").trace().columns_with(Decoder())
-        clone = pickle.loads(pickle.dumps(cols))
-        assert clone.library == cols.library
-        assert clone.tuples(0, len(clone)) == cols.tuples(0, len(cols))
+    def test_empty_trace_round_trips(self):
+        cols = Trace([], name="empty").columns_with(Decoder())
+        blob = cols.to_blob()
+        restored = ColumnarTrace.from_blob(blob)
+        assert len(restored) == 0 and restored.name == "empty"
+        assert restored.stream() == []
+        assert restored.to_blob() == blob
 
+    def test_non_ascii_name_round_trips(self):
+        trace = Trace(_workload("CCa").trace().records, name="bênch-µ")
+        cols = trace.columns_with(Decoder())
+        restored = ColumnarTrace.from_blob(cols.to_blob())
+        assert restored.name == "bênch-µ"
+        assert restored.to_blob() == cols.to_blob()
 
-class TestTracePickle:
-    def test_trace_pickle_drops_columnar_cache(self):
-        """Satellite contract: a pickled Trace never carries the blob."""
-        trace = _workload("CCa").trace()
-        decoder = Decoder()
-        cols = trace.columns_with(decoder)
-        assert trace._columnar_cache  # populated by the call above
-        clone = pickle.loads(pickle.dumps(trace))
-        assert clone._columnar_cache == {}
-        # The receiver rebuilds an identical columnar form on demand.
-        rebuilt = clone.columns_with(decoder)
-        assert rebuilt.to_blob() == cols.to_blob()
-
-    def test_old_pickles_gain_the_cache_slot(self):
-        """__setstate__ backfills _columnar_cache for pre-PR-6 pickles."""
-        trace = _workload("CCa").trace()
-        state = trace.__getstate__()
-        state.pop("_columnar_cache", None)
-        fresh = object.__new__(type(trace))
-        fresh.__setstate__(state)
-        assert fresh._columnar_cache == {}
-        assert asdict(simulate(_config("a53"), fresh)) == asdict(
-            simulate(_config("a53"), trace)
-        )
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda blob: blob[:-2], id="truncated-2"),
+        pytest.param(lambda blob: blob[:-8], id="truncated-8"),
+        pytest.param(lambda blob: blob + b"\0", id="trailing-byte"),
+        pytest.param(_length_plus_five, id="header-length-plus-5"),
+        pytest.param(lambda blob: blob[:_HEADER.size], id="header-only"),
+    ])
+    def test_malformed_blob_rejected(self, damage):
+        """Structural damage raises ValueError and never attaches: a blob
+        short by one ``Q`` entry would otherwise simulate to other stats."""
+        blob = _workload("CCa").trace().columns_with(Decoder()).to_blob()
+        with pytest.raises(ValueError, match="columnar blob"):
+            ColumnarTrace.from_blob(damage(blob))

@@ -11,6 +11,7 @@ from repro.engine import (
     make_executor,
     sim_key,
 )
+from repro.engine.tracestore import TraceStore
 from repro.isa.decoder import BuggyDecoder, Decoder
 from repro.tuning.race import race
 from repro.validation.campaign import BudgetProfile, ValidationCampaign
@@ -104,6 +105,15 @@ class TestTraceStore:
         assert engine.traces.builds == 2
         assert "initialized" in fixed.name
 
+    def test_truncated_cached_blob_raises_and_counts_no_attach(self, tmp_path):
+        TraceStore(SUBSET, scale=0.5, cache_dir=tmp_path).columns("ED1", Decoder())
+        (path,) = tmp_path.glob("*.rcol")
+        path.write_bytes(path.read_bytes()[:-8])
+        store = TraceStore(SUBSET, scale=0.5, cache_dir=tmp_path)
+        with pytest.raises(ValueError, match="truncated"):
+            store.columns("ED1", Decoder())
+        assert store.column_attaches == 0 and store.column_persists == 0
+
     def test_workload_overrides_rebinding_reaches_engine(self, board):
         # Benchmarks assign campaign.workload_overrides wholesale; the
         # campaign must forward that to the engine it wraps.
@@ -166,39 +176,6 @@ class TestBatching:
             length = engine.trace("ED1").instruction_count()
             assert engine.telemetry.batched_trials == batched
             assert engine.telemetry.shared_pass_instructions == batched * length
-
-    #: Matches make_engine's scale=0.5 so supplied-engine tests line up.
-    HALF_SCALE = BudgetProfile("half", 120, 120, microbench_scale=0.5,
-                               first_test=4, n_elites=2)
-
-    def test_external_engine_honours_decoder_and_rejects_jobs(self, board):
-        engine = make_engine(board)
-        campaign = ValidationCampaign(
-            board, core="a53", profile=self.HALF_SCALE, workloads=SUBSET,
-            decoder=BuggyDecoder(), engine=engine,
-        )
-        assert isinstance(campaign.decoder, BuggyDecoder)
-        assert engine.decoder is campaign.decoder
-        with pytest.raises(ValueError):
-            ValidationCampaign(board, core="a53", profile=self.HALF_SCALE,
-                               workloads=SUBSET, engine=engine, jobs=2)
-
-    def test_external_engine_must_cover_campaign_workloads(self, board):
-        engine = make_engine(board)  # knows only SUBSET
-        with pytest.raises(ValueError, match="cannot run campaign workloads"):
-            ValidationCampaign(board, core="a53", profile=self.HALF_SCALE,
-                               engine=engine)
-
-    def test_external_engine_core_mismatch_rejected(self, board):
-        engine = make_engine(board)  # measures the a53 cluster
-        with pytest.raises(ValueError, match="different hardware core"):
-            ValidationCampaign(board, core="a72", profile=self.HALF_SCALE,
-                               workloads=SUBSET, engine=engine)
-
-    def test_external_engine_scale_conflict_rejected(self, board):
-        engine = make_engine(board)  # scale 0.5 vs default profile's 1.0
-        with pytest.raises(ValueError, match="scale"):
-            ValidationCampaign(board, core="a53", workloads=SUBSET, engine=engine)
 
     def test_executor_factory(self):
         assert make_executor(1).name == "serial"

@@ -211,41 +211,61 @@ class TestWorkerExecution:
         assert sorted(rows.values()) == [("done", 1)] * 2 + [("queued", 0)] * 3
 
 
+def spy_get_many(backend, monkeypatch) -> list:
+    """Record the keys of every ``get_many`` call ``backend`` answers."""
+    asked = []
+    get_many = backend.get_many
+
+    def spy(table, keys):
+        asked.append(list(keys))
+        return get_many(table, keys)
+
+    monkeypatch.setattr(backend, "get_many", spy)
+    return asked
+
+
 class TestWriteBehindReads:
-    def test_get_sims_answers_buffer_and_precheck_without_the_backend(
-            self, store_path, monkeypatch):
+    def test_get_sims_answers_precheck_without_the_backend(self, store_path, monkeypatch):
         base = cortex_a53_public_config()
         with EvaluationEngine(workloads=WORKLOADS, scale=SCALE) as eng:
-            buffered, prechecked, missed, cold = (
+            prechecked, missed, cold = (
                 eng.result_key(base.with_updates({"l1d.hit_latency": n}), "CCa")
-                for n in (2, 3, 4, 5))
+                for n in (3, 4, 5))
             stats = eng.simulate(base, "CCa")
         worker = FabricWorker(store_path)
         try:
-            worker._buffer_results([(buffered, stats)])
             worker._precheck[encode_key(prechecked)] = dumps(stats_to_payload(stats))
             worker._precheck[encode_key(missed)] = None  # a recent store miss
-            backend = worker.store.backend
-            asked = []
-            get_many = backend.get_many
-
-            def spy(table, keys):
-                asked.append(list(keys))
-                return get_many(table, keys)
-
-            monkeypatch.setattr(backend, "get_many", spy)
+            asked = spy_get_many(worker.store.backend, monkeypatch)
             view = worker._engine_store
-            got = view.get_sims([buffered, prechecked, missed])
+            got = view.get_sims([prechecked, missed])
             assert asked == []
-            assert got[buffered] is stats and got[prechecked] == stats
-            assert got[missed] is None
+            assert got[prechecked] == stats and got[missed] is None
 
-            # Prechecks are single-use; what neither source holds goes
-            # to the backend in one call.
-            got = view.get_sims([buffered, cold, prechecked])
+            # Prechecks are single-use; what the precheck does not hold
+            # goes to the backend in one call.
+            got = view.get_sims([cold, prechecked])
             assert asked == [[encode_key(cold), encode_key(prechecked)]]
-            assert got[buffered] is stats and got[cold] is None
-            assert view.get_sim(buffered) is stats and len(asked) == 1
+            assert got[cold] is None and got[prechecked] is None
+        finally:
+            worker.close()
+
+    def test_resimulating_a_buffered_key_reads_no_backend(self, store_path, monkeypatch):
+        """A result still in the write-behind buffer is answered by the
+        engine's own memo, so the view never has to search the buffer."""
+        from repro.fabric.tasks import decoder_spec
+
+        config = cortex_a53_public_config()
+        worker = FabricWorker(store_path)
+        try:
+            engine = worker._engine_for(SCALE, decoder_spec(Decoder()))
+            first = engine.simulate(config, "CCa")
+            assert [key for key, _stats in worker._results] == [
+                engine.result_key(config, "CCa")]
+            asked = spy_get_many(worker.store.backend, monkeypatch)
+            assert engine.simulate(config, "CCa") is first
+            assert asked == []
+            assert engine.telemetry.unique_trials == 1
         finally:
             worker.close()
 

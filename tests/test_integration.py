@@ -5,21 +5,21 @@ import pytest
 from repro.core.config import cortex_a53_public_config
 from repro.isa.decoder import BuggyDecoder, Decoder
 from repro.simulator import SnipeSim, simulate
-from repro.trace.sift import read_trace, write_trace
+from repro.trace.columnar import ColumnarTrace
 from repro.tuning import IraceTuner, OrdinalParam, ParamSpace
 from repro.tuning.cost import cpi_error
 from repro.workloads.microbench import get_microbenchmark
 
 
 class TestTraceOnceSimulateMany:
-    def test_sift_file_roundtrip_preserves_simulation(self, tmp_path, a53_config):
+    def test_rcol_file_roundtrip_preserves_simulation(self, tmp_path, a53_config):
         """Record once, serialise, reload, simulate — the SIFT workflow."""
         trace = get_microbenchmark("MD").trace()
-        path = tmp_path / "md.sift"
-        path.write_bytes(write_trace(trace))
-        restored = read_trace(path.read_bytes())
+        path = tmp_path / "md.rcol"
+        path.write_bytes(trace.columns_with(Decoder()).to_blob())
+        restored = ColumnarTrace.from_blob(path.read_bytes())
         sim = SnipeSim(a53_config)
-        assert sim.run(trace).cycles == sim.run(restored).cycles
+        assert sim.run(trace) == sim.run(restored)
 
     def test_one_trace_many_configs(self, a53_config):
         trace = get_microbenchmark("ML2").trace()

@@ -21,7 +21,7 @@ ROWS_PER_PROC = 120
 def hammer(path, proc_id, failures):
     """One contender: interleave writes, batch writes and reads."""
     try:
-        backend = SqliteBackend(path, busy_timeout=30.0)
+        backend = SqliteBackend(path)
         for i in range(ROWS_PER_PROC):
             key = f"p{proc_id}-row{i:04d}"
             if i % 3 == 0:
