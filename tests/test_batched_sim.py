@@ -1,4 +1,4 @@
-"""Batched simulation: bit-identity, columnar blobs, pickling.
+"""Batched simulation: bit-identity and columnar blobs.
 
 ``simulate_batch`` runs K core instances over one trace's shared issue
 stream; these tests pin its contract: results are *bit-identical* to
@@ -20,9 +20,11 @@ from repro.core.config import cortex_a53_public_config, cortex_a72_public_config
 from repro.hardware import HardwareEffects
 from repro.hardware.groundtruth import cortex_a53_effects, cortex_a53_ground_truth
 from repro.isa.decoder import BuggyDecoder, Decoder
+from repro.isa.encoding import encode
+from repro.isa.opclasses import OpClass
 from repro.simulator import simulate, simulate_batch
 from repro.trace.columnar import _HEADER, BLOB_VERSION, ColumnarTrace
-from repro.trace.record import Trace
+from repro.trace.record import DynInst, Trace
 from repro.workloads.microbench import MICROBENCHMARKS
 from repro.workloads.spec import SPEC_WORKLOADS
 
@@ -153,6 +155,38 @@ class TestColumnarBlob:
         trace = _workload("CCa").trace()
         blob = bytearray(trace.columns_with(Decoder()).to_blob())
         blob[4:6] = (BLOB_VERSION + 1).to_bytes(2, "little")
+        with pytest.raises(ValueError, match="version"):
+            ColumnarTrace.from_blob(bytes(blob))
+
+    def test_hand_built_trace_round_trips_every_record_kind(self):
+        """An ALU op, a load with its address, a taken branch with its
+        target and a revisited pc all survive the blob."""
+        word_alu = encode(OpClass.IALU, 1, 2, 3)
+        trace = Trace(
+            [
+                DynInst(0x1000, word_alu),
+                DynInst(0x1004, encode(OpClass.LOAD, 4, 5), addr=0xBEEF0),
+                DynInst(0x1008, encode(OpClass.BRANCH, -1, 2), taken=True, target=0x1000),
+                DynInst(0x1000, word_alu),
+            ],
+            name="simple",
+        )
+        decoder = Decoder()
+        restored = ColumnarTrace.from_blob(trace.columns_with(decoder).to_blob())
+        assert restored.name == "simple"
+        assert restored.stream_with(decoder) == trace.stream_with(decoder)
+
+    def test_whole_blob_with_bad_magic_rejected(self):
+        """The magic is checked even when the rest of the blob is sound."""
+        blob = bytearray(_workload("CCa").trace().columns_with(Decoder()).to_blob())
+        blob[0:4] = b"NOPE"
+        with pytest.raises(ValueError, match="bad magic"):
+            ColumnarTrace.from_blob(bytes(blob))
+
+    def test_older_version_rejected(self):
+        """No earlier blob version is read back either."""
+        blob = bytearray(_workload("CCa").trace().columns_with(Decoder()).to_blob())
+        blob[4:6] = (BLOB_VERSION - 1).to_bytes(2, "little")
         with pytest.raises(ValueError, match="version"):
             ColumnarTrace.from_blob(bytes(blob))
 
